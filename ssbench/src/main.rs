@@ -146,7 +146,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_the_driver_command_line() {
+    fn parses_the_command_line() {
         let a = args("--workload serve_mixed --seed 9 --seconds 10 --trace 1").unwrap();
         assert_eq!((a.workload, a.seed, a.seconds, a.trace), (Workload::ServeMixed, 9, 10, true));
         assert!(args("--workload nope --seed 1 --seconds 1 --trace 0").is_err());
