@@ -1,7 +1,7 @@
 //! Behavior-based clustering (paper Def. 12).
 
 use super::ClusteringStrategy;
-use crate::sitemodel::SiteModel;
+use crate::sitemodel::SiteView;
 use socialscope_graph::NodeId;
 
 /// Two users belong to the same cluster when their tagging behaviour is
@@ -24,7 +24,7 @@ impl ClusteringStrategy for BehaviorBasedClustering {
         "behavior"
     }
 
-    fn same_cluster(&self, site: &SiteModel, a: NodeId, b: NodeId, theta: f64) -> bool {
+    fn same_cluster_in(&self, site: &SiteView<'_>, a: NodeId, b: NodeId, theta: f64) -> bool {
         site.behavior_jaccard(a, b) >= theta
     }
 }
@@ -32,6 +32,7 @@ impl ClusteringStrategy for BehaviorBasedClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sitemodel::SiteModel;
     use socialscope_graph::GraphBuilder;
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hybrid clustering (paper Def. 13).
 
 use super::ClusteringStrategy;
-use crate::sitemodel::SiteModel;
+use crate::sitemodel::SiteView;
 use socialscope_graph::NodeId;
 
 /// Two users belong to the same hybrid cluster when the *members of their
@@ -22,7 +22,7 @@ impl ClusteringStrategy for HybridClustering {
         "hybrid"
     }
 
-    fn same_cluster(&self, site: &SiteModel, a: NodeId, b: NodeId, theta: f64) -> bool {
+    fn same_cluster_in(&self, site: &SiteView<'_>, a: NodeId, b: NodeId, theta: f64) -> bool {
         let na = site.network_of(a);
         let nb = site.network_of(b);
         if na.is_empty() || nb.is_empty() {
@@ -42,6 +42,7 @@ impl ClusteringStrategy for HybridClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sitemodel::SiteModel;
     use socialscope_graph::GraphBuilder;
 
     #[test]

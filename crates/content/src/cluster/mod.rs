@@ -27,7 +27,7 @@ pub use behavior::BehaviorBasedClustering;
 pub use hybrid::HybridClustering;
 pub use network::NetworkBasedClustering;
 
-use crate::sitemodel::SiteModel;
+use crate::sitemodel::{SiteModel, SiteView};
 use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, NodeId};
 
@@ -121,6 +121,98 @@ impl UserClustering {
     }
 }
 
+/// Recluster-on-join for one planned batch, recorded against a read-only
+/// [`UserClustering`] instead of a copy of it: each late joiner is placed
+/// by the greedy-leader rule exactly as [`UserClustering::join`] /
+/// [`UserClustering::found`] would place it on the live clustering —
+/// leaders and members include the batch's earlier joiners — and the
+/// recorded joins land with [`UserClustering::commit_joins`].
+pub(crate) struct PlannedJoins<'a> {
+    base: &'a UserClustering,
+    /// This batch's joiners per cluster, founders of new clusters included.
+    joined: FxHashMap<ClusterId, Vec<NodeId>>,
+    assigned: FxHashMap<NodeId, ClusterId>,
+    founded: usize,
+    joins: Vec<(NodeId, ClusterId)>,
+}
+
+impl<'a> PlannedJoins<'a> {
+    pub(crate) fn new(base: &'a UserClustering) -> Self {
+        PlannedJoins {
+            base,
+            joined: FxHashMap::default(),
+            assigned: FxHashMap::default(),
+            founded: 0,
+            joins: Vec::new(),
+        }
+    }
+
+    /// The cluster a user belongs to once the planned joins land.
+    pub(crate) fn cluster_of(&self, user: NodeId) -> Option<ClusterId> {
+        self.base.cluster_of(user).or_else(|| self.assigned.get(&user).copied())
+    }
+
+    /// Members of a cluster once the planned joins land, in no particular
+    /// order.
+    pub(crate) fn members(&self, cluster: ClusterId) -> impl Iterator<Item = NodeId> + '_ {
+        let joined = self.joined.get(&cluster).into_iter().flatten();
+        self.base.members(cluster).iter().chain(joined).copied()
+    }
+
+    /// The lowest-id member: [`UserClustering::leader`] after the joins.
+    fn leader(&self, cluster: ClusterId) -> Option<NodeId> {
+        let joined = self.joined.get(&cluster).and_then(|users| users.iter().min()).copied();
+        match (self.base.leader(cluster), joined) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Place a tagger the clustering does not know yet: the first cluster
+    /// (in id order) whose leader satisfies the clustering's own strategy
+    /// predicate over `site`, or a new singleton when none does — or when
+    /// the strategy name is unknown. Already clustered users are skipped.
+    pub(crate) fn place(&mut self, site: &SiteView<'_>, user: NodeId) {
+        if self.cluster_of(user).is_some() {
+            return;
+        }
+        let count = self.base.cluster_count() + self.founded;
+        let theta = self.base.theta;
+        let nearest = strategy_named(&self.base.strategy).and_then(|s| {
+            (0..count).map(ClusterId).find(|&c| {
+                self.leader(c).is_some_and(|leader| s.same_cluster_in(site, user, leader, theta))
+            })
+        });
+        let cluster = nearest.unwrap_or_else(|| {
+            self.founded += 1;
+            ClusterId(count)
+        });
+        self.joined.entry(cluster).or_default().push(user);
+        self.assigned.insert(user, cluster);
+        self.joins.push((user, cluster));
+    }
+
+    /// The recorded `(joiner, cluster)` placements, in placement order.
+    pub(crate) fn placements(&self) -> &[(NodeId, ClusterId)] {
+        &self.joins
+    }
+}
+
+impl UserClustering {
+    /// Land joins recorded by a [`PlannedJoins`] over this clustering, in
+    /// order: a placement into an existing cluster joins it, one past the
+    /// end founds the next singleton (which gets exactly that id).
+    pub(crate) fn commit_joins(&mut self, joins: &[(NodeId, ClusterId)]) {
+        for &(user, cluster) in joins {
+            if cluster.0 < self.cluster_count() {
+                self.join(user, cluster);
+            } else {
+                self.found(user);
+            }
+        }
+    }
+}
+
 /// Look up one of the three built-in strategies by the name stored on a
 /// [`UserClustering`] — how the live-maintenance path recovers the greedy
 /// predicate for recluster-on-join long after the strategy object that
@@ -143,7 +235,14 @@ pub trait ClusteringStrategy {
 
     /// The paper's pairwise predicate at threshold θ: do `a` and `b` belong
     /// to the same cluster?
-    fn same_cluster(&self, site: &SiteModel, a: NodeId, b: NodeId, theta: f64) -> bool;
+    fn same_cluster(&self, site: &SiteModel, a: NodeId, b: NodeId, theta: f64) -> bool {
+        self.same_cluster_in(&site.view(), a, b, theta)
+    }
+
+    /// [`Self::same_cluster`] over a [`SiteView`] — how recluster-on-join
+    /// evaluates late joiners against a site whose batch is planned but
+    /// not yet committed.
+    fn same_cluster_in(&self, site: &SiteView<'_>, a: NodeId, b: NodeId, theta: f64) -> bool;
 
     /// Run the greedy leader clustering over every user of the site.
     fn cluster(&self, site: &SiteModel, theta: f64) -> UserClustering {
@@ -152,11 +251,12 @@ pub trait ClusteringStrategy {
             theta,
             ..UserClustering::default()
         };
+        let view = site.view();
         let mut leaders: Vec<NodeId> = Vec::new();
         for user in site.users() {
             let mut assigned = None;
             for (idx, leader) in leaders.iter().enumerate() {
-                if self.same_cluster(site, user, *leader, theta) {
+                if self.same_cluster_in(&view, user, *leader, theta) {
                     assigned = Some(ClusterId(idx));
                     break;
                 }

@@ -1,7 +1,7 @@
 //! Network-based clustering (paper Def. 11).
 
 use super::ClusteringStrategy;
-use crate::sitemodel::SiteModel;
+use crate::sitemodel::SiteView;
 use socialscope_graph::NodeId;
 
 /// Two users belong to the same cluster when their networks are similar:
@@ -20,7 +20,7 @@ impl ClusteringStrategy for NetworkBasedClustering {
         "network"
     }
 
-    fn same_cluster(&self, site: &SiteModel, a: NodeId, b: NodeId, theta: f64) -> bool {
+    fn same_cluster_in(&self, site: &SiteView<'_>, a: NodeId, b: NodeId, theta: f64) -> bool {
         site.network_jaccard(a, b) >= theta
     }
 }
@@ -28,6 +28,7 @@ impl ClusteringStrategy for NetworkBasedClustering {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sitemodel::SiteModel;
     use socialscope_graph::GraphBuilder;
 
     #[test]

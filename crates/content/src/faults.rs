@@ -10,32 +10,33 @@
 //!
 //! The contract every site participates in: a fault fired *anywhere* in an
 //! apply leaves the site model, the indexes and the clustering
-//! byte-identical to their pre-apply state (stage → validate → commit; all
-//! failpoints sit before the commit), and a fault at [`DEADLINE`] makes the
+//! byte-identical to their pre-apply state (plan → commit; every failpoint
+//! sits in the read-only plan), and a fault at [`DEADLINE`] makes the
 //! batch deadline report expiry — the defined partial-results degradation —
 //! without a wall clock in the test.
 
-/// Fired at the top of [`crate::SiteModel::try_apply`], before any
-/// mutation.
+/// Fired at the top of [`crate::SiteModel::plan_apply`], before any
+/// planning.
 pub const SITE_APPLY: &str = "content::site_apply";
 
-/// Fired in [`crate::ExactIndex`]'s apply after staging (interning,
-/// recompute) but before validation and commit.
+/// Fired in [`crate::ExactIndex`]'s apply plan after the affected
+/// triples are enumerated, before the recompute and validation.
 pub const EXACT_APPLY_STAGE: &str = "content::exact_apply::stage";
 
-/// Fired in [`crate::ExactIndex`]'s apply after validation, immediately
-/// before the commit point.
+/// Fired at the end of [`crate::ExactIndex`]'s apply plan, after
+/// validation.
 pub const EXACT_APPLY_COMMIT: &str = "content::exact_apply::commit";
 
-/// Fired after the clustered apply's phase 1 (recluster-on-join, staged).
+/// Fired after the clustered apply plan's phase 1 (recluster-on-join,
+/// recorded).
 pub const CLUSTERED_APPLY_PHASE1: &str = "content::clustered_apply::phase1";
 
-/// Fired after the clustered apply's phase 2 (refinement group changes,
-/// computed but not yet spliced).
+/// Fired after the clustered apply plan's phase 2 (refinement group
+/// changes, encoded but not yet spliced).
 pub const CLUSTERED_APPLY_PHASE2: &str = "content::clustered_apply::phase2";
 
-/// Fired after the clustered apply's phase 3 (bound recomputation and
-/// capacity validation), immediately before the commit point.
+/// Fired at the end of the clustered apply plan's phase 3 (bound
+/// recomputation and capacity validation).
 pub const CLUSTERED_APPLY_PHASE3: &str = "content::clustered_apply::phase3";
 
 /// Fired on every cooperative deadline check of the batch serving paths.

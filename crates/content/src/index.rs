@@ -33,14 +33,14 @@
 //! verbatim. `Exec::sequential()` (or a computed shard count of 1) runs the
 //! exact single-threaded code paths.
 
-use crate::cluster::{strategy_named, ClusterId, UserClustering};
+use crate::cluster::{ClusterId, PlannedJoins, UserClustering};
 use crate::deadline::{Deadline, DEADLINE_CHECK_STRIDE};
 use crate::events::TagEvent;
 use crate::inline::InlineVec;
 use crate::posting::{find_score_by_item, Layout, PostingList, BYTES_PER_ENTRY};
-use crate::refinement::{RefinementIndex, ResolvedRefinement};
-use crate::sitemodel::{count_intersection, SiteModel};
-use crate::tags::{QueryTags, TagId, TagInterner};
+use crate::refinement::{RefinementIndex, RefinementSplice, ResolvedRefinement};
+use crate::sitemodel::{count_intersection, SiteModel, SiteView};
+use crate::tags::{PlannedTags, QueryTags, TagId, TagInterner};
 use crate::topk::{top_k_hinted_with, top_k_with, TopKResult, TopKScratch};
 use serde::{Deserialize, Serialize};
 use socialscope_exec::Exec;
@@ -425,6 +425,78 @@ fn rebuild_slots(users: &[(NodeId, UserLists)]) -> FxHashMap<NodeId, u32> {
     users.iter().enumerate().map(|(slot, (user, _))| (*user, slot as u32)).collect()
 }
 
+/// An [`ExactIndex`] apply planned by [`ExactIndex::plan_apply`] and
+/// landed by [`ExactIndex::commit_apply`].
+#[derive(Debug)]
+pub struct ExactApplyPlan {
+    /// Tags the batch interns, in id order.
+    new_tags: Vec<String>,
+    /// The entries that change, ascending by `(user, tag, item)`, each
+    /// with its new score (0 = the entry goes).
+    patch: Vec<(NodeId, TagId, NodeId, f64)>,
+}
+
+/// A clustered-index apply planned by [`ClusteredIndex::plan_apply`] and
+/// landed by [`ClusteredIndex::commit_apply`].
+#[derive(Debug)]
+pub struct ClusteredApplyPlan {
+    /// Tags the batch interns, in id order.
+    new_tags: Vec<String>,
+    /// Recluster-on-join placements, in placement order.
+    joins: Vec<(NodeId, ClusterId)>,
+    /// The refinement groups that change, encoded.
+    splice: RefinementSplice,
+    /// The bound entries that change, ascending by `(tag, cluster,
+    /// item)`, each with its new bound (0 = the entry goes).
+    patch: Vec<(TagId, ClusterId, NodeId, f64)>,
+    report: ApplyReport,
+}
+
+/// The planned new value of one stored entry: `Some(new)` when it differs
+/// from `stored` (0 removes), `None` when the entry stays as it is.
+fn changed_score(stored: Option<f64>, new: f64) -> Option<f64> {
+    let unchanged = if new > 0.0 { stored == Some(new) } else { stored.is_none() };
+    (!unchanged).then_some(new)
+}
+
+/// Split a sorted patch into maximal runs sharing one list key.
+fn key_runs<T, K: PartialEq>(patch: &[T], key: impl Fn(&T) -> K) -> impl Iterator<Item = &[T]> {
+    let mut rest = patch;
+    std::iter::from_fn(move || {
+        let first = key(rest.first()?);
+        let len = rest.iter().take_while(|entry| key(entry) == first).count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// Patch one posting list with planned `(item, new score)` entries (0
+/// removes) in a single decode/encode round, whatever the layout: the
+/// codec is canonical, so the bytes match patching entry by entry.
+fn patch_list(
+    list: &mut PostingList,
+    entries: impl Iterator<Item = (NodeId, f64)>,
+    layout: Layout,
+) {
+    list.set_layout(Layout::Raw);
+    for (item, score) in entries {
+        list.remove(item);
+        if score > 0.0 {
+            list.insert(item, score);
+        }
+    }
+    // An emptied list is the canonical `Empty` of both layouts.
+    list.set_layout(layout);
+}
+
+/// A list holding only planned entries (for a key with no list yet).
+fn patched_new_list(entries: impl Iterator<Item = (NodeId, f64)>, layout: Layout) -> PostingList {
+    let mut list = PostingList::new();
+    patch_list(&mut list, entries, layout);
+    list
+}
+
 /// Layout key marking a batch member with no row in the index (unknown
 /// user / unclustered user): sorts after every real slot.
 const NO_SLOT: u32 = u32::MAX;
@@ -676,28 +748,44 @@ impl ExactIndex {
     }
 
     /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: the apply stages its fallible work (tag interning on a
-    /// cloned symbol table, the sharded score recompute, capacity
-    /// validation) against read-only state, and only then commits — so an
-    /// `Err` return (capacity overflow, or an injected fault at
-    /// [`crate::faults::EXACT_APPLY_STAGE`] /
-    /// [`crate::faults::EXACT_APPLY_COMMIT`]) leaves the index
-    /// byte-identical to its pre-call state: same stats, same list per
-    /// `(tag, user)`, same answer to every query.
+    /// batch**: [`Self::plan_apply`] over `site` (which already reflects
+    /// the batch, so the view has nothing pending), then
+    /// [`Self::commit_apply`]. Every fallible step — capacity validation,
+    /// or an injected fault at [`crate::faults::EXACT_APPLY_STAGE`] /
+    /// [`crate::faults::EXACT_APPLY_COMMIT`] — belongs to the read-only
+    /// plan, so an `Err` return leaves the index byte-identical to its
+    /// pre-call state: same stats, same list per `(tag, user)`, same
+    /// answer to every query.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         site: &SiteModel,
         events: &[TagEvent],
     ) -> crate::Result<ApplyReport> {
-        // Stage: intern event tags into a *cloned* symbol table (new tags
-        // get ids; queries compare by string, so id numbering never affects
-        // answers) — a fault below must not leave freshly interned tags
-        // behind in the live index.
-        let mut staged_tags = self.tags.clone();
+        let plan = self.plan_apply(exec, &site.view(), events)?;
+        Ok(self.commit_apply(plan))
+    }
+
+    /// Plan a batch without touching the index: `site` answers as the
+    /// model will *after* the batch (a [`SiteView`] over a planned
+    /// [`crate::sitemodel::SiteDelta`], or [`SiteModel::view`] of a model
+    /// that already took it). New event tags are recorded, not interned;
+    /// the affected triples' scores are recomputed read-only in parallel
+    /// shards and compared with the stored ones, so the plan holds
+    /// exactly the entries that change; and the rows they add are
+    /// validated against the slot bound. Fires
+    /// [`crate::faults::EXACT_APPLY_STAGE`] once the affected triples are
+    /// enumerated and [`crate::faults::EXACT_APPLY_COMMIT`] last.
+    pub fn plan_apply(
+        &self,
+        exec: &Exec,
+        site: &SiteView<'_>,
+        events: &[TagEvent],
+    ) -> crate::Result<ExactApplyPlan> {
+        let mut tags = PlannedTags::new(&self.tags);
         let mut triples: Vec<(NodeId, TagId, NodeId)> = Vec::new();
         for event in events {
-            let tag = staged_tags.intern(event.tag());
+            let tag = tags.intern(event.tag())?;
             for &user in site.network_of(event.tagger()) {
                 triples.push((user, tag, event.item()));
             }
@@ -706,31 +794,35 @@ impl ExactIndex {
         triples.dedup();
         crate::faults::fire(crate::faults::EXACT_APPLY_STAGE)?;
         // Read-only recompute phase, sharded: each triple's new score is
-        // one sorted-merge intersection against the post-event site.
-        let tags = &staged_tags;
-        let sharded: Vec<Vec<f64>> =
+        // one sorted-merge intersection against the post-batch site, kept
+        // only where it differs from the stored score (0 = remove).
+        let planned = &tags;
+        let sharded: Vec<Vec<Option<f64>>> =
             exec.run_sharded(triples.len(), APPLY_MIN_UNITS_PER_SHARD, |_, range| {
                 range
                     .map(|i| {
                         let (user, tag, item) = triples[i];
                         // lint: allow(no_panic, reason = "true invariant: the pre-shard walk interned every event tag into this table")
-                        let tag = tags.resolve(tag).expect("event tags interned above");
-                        let taggers = site.taggers_of(item, tag);
-                        count_intersection(site.network_of(user), taggers) as f64
+                        let name = planned.resolve(tag).expect("event tags interned above");
+                        let taggers = site.taggers_of(item, name);
+                        let score = count_intersection(site.network_of(user), taggers) as f64;
+                        let stored = self.list_by_id(tag, user).and_then(|l| l.score_of(item));
+                        changed_score(stored, score)
                     })
                     .collect()
             });
-        let scores: Vec<f64> = sharded.into_iter().flatten().collect();
-        // Validate: the patch below inserts one row per not-yet-indexed
-        // user that gained a positive score; the layout must stay within
-        // the slot bound. Triples are user-sorted, so new users group.
+        let patch: Vec<(NodeId, TagId, NodeId, f64)> = triples
+            .iter()
+            .zip(sharded.into_iter().flatten())
+            .filter_map(|(&(user, tag, item), score)| Some((user, tag, item, score?)))
+            .collect();
+        // Validate: the commit inserts one row per not-yet-indexed user
+        // that gained a positive score; the layout must stay within the
+        // slot bound. The patch is user-sorted, so new users group.
         let mut new_rows = 0u64;
         let mut last_new: Option<NodeId> = None;
-        for (&(user, _, _), &score) in triples.iter().zip(&scores) {
-            if score > 0.0
-                && last_new != Some(user)
-                && self.users.binary_search_by_key(&user, |(u, _)| *u).is_err()
-            {
+        for &(user, _, _, score) in &patch {
+            if score > 0.0 && last_new != Some(user) && !self.slots.contains_key(&user) {
                 new_rows += 1;
                 last_new = Some(user);
             }
@@ -742,70 +834,56 @@ impl ExactIndex {
             });
         }
         crate::faults::fire(crate::faults::EXACT_APPLY_COMMIT)?;
-        // Commit: from here on nothing can fail.
-        self.tags = staged_tags;
-        // Sequential patch phase. Row membership may change, which shifts
-        // slots — rows are found by binary search (the vector stays
-        // ascending) and the slot table is rebuilt once at the end.
-        let mut changed_entries = 0usize;
+        Ok(ExactApplyPlan { new_tags: tags.into_names(), patch })
+    }
+
+    /// Land a plan made by [`Self::plan_apply`] against this very index
+    /// (nothing may touch the index in between). Infallible and in place:
+    /// the recorded tags are interned, each changed list is patched in
+    /// one pass, and rows that appear or empty out are inserted or
+    /// dropped — the slot table is rebuilt only then.
+    pub fn commit_apply(&mut self, plan: ExactApplyPlan) -> ApplyReport {
+        let ExactApplyPlan { new_tags, patch } = plan;
+        self.tags.commit(new_tags);
         let mut membership_dirty = false;
-        for (&(user, tag, item), &score) in triples.iter().zip(&scores) {
+        for run in key_runs(&patch, |&(user, tag, ..)| (user, tag)) {
+            let (user, tag) = (run[0].0, run[0].1);
+            let entries = run.iter().map(|&(_, _, item, score)| (item, score));
             match self.users.binary_search_by_key(&user, |(u, _)| *u) {
                 Ok(pos) => {
                     let by_tag = &mut self.users[pos].1;
-                    match by_tag.iter_mut().find(|(t, _)| *t == tag) {
-                        Some((_, list)) => {
-                            let stored = list.score_of(item);
-                            if score > 0.0 {
-                                if stored == Some(score) {
-                                    continue;
-                                }
-                                list.remove(item);
-                                list.insert(item, score);
-                                // Draining a one-entry packed list lands on
-                                // the canonical Empty, so the re-insert
-                                // grows back raw; re-assert the index
-                                // layout (no-op in every other case).
-                                list.set_layout(self.layout);
-                                changed_entries += 1;
-                            } else if stored.is_some() {
-                                list.remove(item);
-                                changed_entries += 1;
-                                if list.is_empty() {
-                                    by_tag.retain(|(t, _)| *t != tag);
-                                    if by_tag.is_empty() {
-                                        self.users.remove(pos);
-                                        membership_dirty = true;
-                                    }
+                    match by_tag.binary_search_by_key(&tag, |(t, _)| *t) {
+                        Ok(at) => {
+                            patch_list(&mut by_tag[at].1, entries, self.layout);
+                            if by_tag[at].1.is_empty() {
+                                by_tag.remove(at);
+                                if by_tag.is_empty() {
+                                    self.users.remove(pos);
+                                    membership_dirty = true;
                                 }
                             }
                         }
-                        None if score > 0.0 => {
-                            let mut list = PostingList::new();
-                            list.insert(item, score);
-                            list.set_layout(self.layout);
-                            let at = by_tag.partition_point(|(t, _)| *t < tag);
-                            by_tag.insert(at, (tag, list));
-                            changed_entries += 1;
+                        Err(at) => {
+                            let list = patched_new_list(entries, self.layout);
+                            if !list.is_empty() {
+                                by_tag.insert(at, (tag, list));
+                            }
                         }
-                        None => {}
                     }
                 }
-                Err(pos) if score > 0.0 => {
-                    let mut list = PostingList::new();
-                    list.insert(item, score);
-                    list.set_layout(self.layout);
-                    self.users.insert(pos, (user, vec![(tag, list)]));
-                    membership_dirty = true;
-                    changed_entries += 1;
+                Err(pos) => {
+                    let list = patched_new_list(entries, self.layout);
+                    if !list.is_empty() {
+                        self.users.insert(pos, (user, vec![(tag, list)]));
+                        membership_dirty = true;
+                    }
                 }
-                Err(_) => {}
             }
         }
         if membership_dirty {
             self.slots = rebuild_slots(&self.users);
         }
-        Ok(ApplyReport { changed_entries, ..ApplyReport::default() })
+        ApplyReport { changed_entries: patch.len(), ..ApplyReport::default() }
     }
 
     /// The tag symbol table the index is keyed on.
@@ -1293,10 +1371,12 @@ impl ClusteredIndexBuilder<'_> {
 /// The clustered index: one list per `(tag, cluster)` with score upper
 /// bounds (Eq. 1), plus the keyword-first [`RefinementIndex`] the exact
 /// per-candidate scores are recomputed from at query time. Lists live in a
-/// dense pool in ascending `(TagId, ClusterId)` key order (deterministic
-/// for every build thread count) behind a key → slot table, so the batch
-/// paths' gather caches can remember compact `u32` slots instead of
-/// re-probing the table per tag per cluster.
+/// dense pool behind a key → slot table, so the batch paths' gather caches
+/// can remember compact `u32` slots instead of re-probing the table per
+/// tag per cluster. A build lays the pool out in ascending
+/// `(TagId, ClusterId)` key order (deterministic for every build thread
+/// count); applies append new lists and refill an emptied list's slot
+/// with the pool's last list, so slots are handles, not an order.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ClusteredIndex {
     tags: TagInterner,
@@ -1586,9 +1666,9 @@ impl ClusteredIndex {
     ///    additionally raise its new cluster's bounds for every item the
     ///    joiner scores on. Exactly those keys are enumerated,
     ///    deduplicated, recomputed read-only in parallel shards (max over
-    ///    the cluster's members), and patched sequentially; the pool
-    ///    re-sorts to its canonical ascending key order only when lists
-    ///    appeared or emptied.
+    ///    the cluster's members), and patched sequentially; a new list is
+    ///    appended to the pool and an emptied one's slot is refilled with
+    ///    the pool's last list.
     /// 4. **Stamp bump** — only if anything changed, so a redundant batch
     ///    is a true no-op and warm gather caches stay valid; any effective
     ///    change moves [`Self::build_stamp`] and invalidates them.
@@ -1603,58 +1683,57 @@ impl ClusteredIndex {
     }
 
     /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: the four phases run in *staged* form — joins against a
-    /// cloned clustering, tag interning against a cloned symbol table,
-    /// refinement changes computed but not spliced, bounds recomputed
-    /// read-only and capacity-validated — and only then does everything
-    /// commit together, after the last fallible step. An `Err` return
-    /// (capacity overflow, or an injected fault at any of
+    /// batch**: [`Self::plan_apply`] over `site` (which already reflects
+    /// the batch, so the view has nothing pending), then
+    /// [`Self::commit_apply`]. Every fallible step — capacity validation,
+    /// or an injected fault at any of
     /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
     /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
-    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`]) therefore leaves the
-    /// index byte-identical to its pre-call state — bound lists,
-    /// refinement groups, clustering, build stamp — so site + index +
-    /// clustering can never be observed torn.
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`] — belongs to the
+    /// read-only plan, so an `Err` return leaves the index byte-identical
+    /// to its pre-call state — bound lists, refinement groups, clustering,
+    /// build stamp — and site + index + clustering can never be observed
+    /// torn.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         site: &SiteModel,
         events: &[TagEvent],
     ) -> crate::Result<ApplyReport> {
-        // Stage: all interning goes through a cloned symbol table, all
-        // joins through a cloned clustering — a fault below must not leave
-        // fresh tags or cluster assignments behind in the live index.
-        let mut staged_tags = self.tags.clone();
-        let event_tags: Vec<TagId> = events.iter().map(|e| staged_tags.intern(e.tag())).collect();
-        // Phase 1 (staged): recluster-on-join.
-        let mut staged_clustering = self.clustering.clone();
-        let mut joins: Vec<(NodeId, ClusterId)> = Vec::new();
-        let strategy = strategy_named(&staged_clustering.strategy);
+        let plan = self.plan_apply(exec, &site.view(), events)?;
+        Ok(self.commit_apply(plan))
+    }
+
+    /// Plan the first three phases of [`Self::apply_with`] without
+    /// touching the index: `site` answers as the model will *after* the
+    /// batch (a [`SiteView`] over a planned
+    /// [`crate::sitemodel::SiteDelta`], or [`SiteModel::view`] of a model
+    /// that already took it). New tags and recluster-on-join placements
+    /// are recorded rather than applied to copies of the symbol table and
+    /// the clustering; changed refinement groups are encoded; affected
+    /// bounds are recomputed read-only and compared with the stored ones,
+    /// so the plan holds exactly the entries that change; and every
+    /// capacity bound is validated. Fires
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
+    /// [`crate::faults::CLUSTERED_APPLY_PHASE3`] after the respective
+    /// phase.
+    pub fn plan_apply(
+        &self,
+        exec: &Exec,
+        site: &SiteView<'_>,
+        events: &[TagEvent],
+    ) -> crate::Result<ClusteredApplyPlan> {
+        let mut tags = PlannedTags::new(&self.tags);
+        let event_tags =
+            events.iter().map(|e| tags.intern(e.tag())).collect::<crate::Result<Vec<TagId>>>()?;
+        // Phase 1: recluster-on-join.
+        let mut joins = PlannedJoins::new(&self.clustering);
         for event in events {
-            let user = event.tagger();
-            if staged_clustering.cluster_of(user).is_some() {
-                continue;
-            }
-            let theta = staged_clustering.theta;
-            let nearest = strategy.and_then(|s| {
-                (0..staged_clustering.cluster_count()).map(ClusterId).find(|&c| {
-                    staged_clustering
-                        .leader(c)
-                        .is_some_and(|leader| s.same_cluster(site, user, leader, theta))
-                })
-            });
-            let cluster = match nearest {
-                Some(cluster) => {
-                    staged_clustering.join(user, cluster);
-                    cluster
-                }
-                None => staged_clustering.found(user),
-            };
-            joins.push((user, cluster));
+            joins.place(site, event.tagger());
         }
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE1)?;
-        // Phase 2 (staged): refinement changes — only groups whose content
-        // moved — computed against the live arena, spliced at commit.
+        // Phase 2: refinement changes — only groups whose content moved.
         let mut group_changes: FxHashMap<(TagId, NodeId), Vec<NodeId>> = FxHashMap::default();
         for (event, &tag) in events.iter().zip(&event_tags) {
             let key = (tag, event.item());
@@ -1666,25 +1745,25 @@ impl ClusteredIndex {
                 group_changes.insert(key, new.to_vec());
             }
         }
-        let changed_groups = group_changes.len();
+        let splice = self.refinement.plan_splice(group_changes)?;
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE2)?;
-        // Phase 3 (staged): affected bound keys — event effects through
-        // the tagger's network members' clusters, join effects through the
+        // Phase 3: affected bound keys — event effects through the
+        // tagger's network members' clusters, join effects through the
         // joiner's own non-zero scores.
         let mut affected: Vec<(TagId, ClusterId, NodeId)> = Vec::new();
         for (event, &tag) in events.iter().zip(&event_tags) {
             for &member in site.network_of(event.tagger()) {
-                if let Some(cluster) = staged_clustering.cluster_of(member) {
+                if let Some(cluster) = joins.cluster_of(member) {
                     affected.push((tag, cluster, event.item()));
                 }
             }
         }
-        for &(user, cluster) in &joins {
+        for &(user, cluster) in joins.placements() {
             for &friend in site.network_of(user) {
                 for &item in site.items_of(friend) {
                     for (tag, taggers) in site.item_tags(item) {
                         if taggers.binary_search(&friend).is_ok() {
-                            affected.push((staged_tags.intern(tag), cluster, item));
+                            affected.push((tags.intern(tag)?, cluster, item));
                         }
                     }
                 }
@@ -1693,35 +1772,41 @@ impl ClusteredIndex {
         affected.sort_unstable();
         affected.dedup();
         // Read-only recompute, sharded: each affected bound is the max of
-        // one sorted-merge intersection per cluster member.
-        let (tags, clustering) = (&staged_tags, &staged_clustering);
-        let sharded: Vec<Vec<f64>> =
+        // one sorted-merge intersection per cluster member, kept only
+        // where it differs from the stored bound (0 = remove).
+        let (planned, members) = (&tags, &joins);
+        let sharded: Vec<Vec<Option<f64>>> =
             exec.run_sharded(affected.len(), APPLY_MIN_UNITS_PER_SHARD, |_, range| {
                 range
                     .map(|i| {
                         let (tag, cluster, item) = affected[i];
                         // lint: allow(no_panic, reason = "true invariant: the pre-shard walk interned every affected tag into this table")
-                        let tag = tags.resolve(tag).expect("affected tags interned above");
-                        let taggers = site.taggers_of(item, tag);
+                        let name = planned.resolve(tag).expect("affected tags interned above");
+                        let taggers = site.taggers_of(item, name);
                         let mut bound = 0.0f64;
-                        for &member in clustering.members(cluster) {
+                        for member in members.members(cluster) {
                             let score = count_intersection(site.network_of(member), taggers) as f64;
                             if score > bound {
                                 bound = score;
                             }
                         }
-                        bound
+                        let stored = self.list_by_id(tag, cluster).and_then(|l| l.score_of(item));
+                        changed_score(stored, bound)
                     })
                     .collect()
             });
-        let bounds: Vec<f64> = sharded.into_iter().flatten().collect();
-        // Validate: the patch below pools one new list per absent
+        let patch: Vec<(TagId, ClusterId, NodeId, f64)> = affected
+            .iter()
+            .zip(sharded.into_iter().flatten())
+            .filter_map(|(&(tag, cluster, item), bound)| Some((tag, cluster, item, bound?)))
+            .collect();
+        // Validate: the commit pools one new list per absent
         // `(tag, cluster)` key that gained a positive bound; the layout
-        // must stay within the slot bound. Affected keys are sorted, so
-        // new keys group.
+        // must stay within the slot bound. The patch is key-sorted, so new
+        // keys group.
         let mut new_lists = 0u64;
         let mut last_new: Option<(TagId, ClusterId)> = None;
-        for (&(tag, cluster, _), &bound) in affected.iter().zip(&bounds) {
+        for &(tag, cluster, _, bound) in &patch {
             if bound > 0.0
                 && last_new != Some((tag, cluster))
                 && !self.list_ids.contains_key(&(tag, cluster))
@@ -1737,84 +1822,85 @@ impl ClusteredIndex {
             });
         }
         crate::faults::fire(crate::faults::CLUSTERED_APPLY_PHASE3)?;
-        // Commit: from here on nothing can fail. The staged symbol table
-        // and clustering swap in, the refinement splice lands, and the
-        // patch below only performs pre-validated inserts.
-        self.tags = staged_tags;
-        self.clustering = staged_clustering;
-        if changed_groups > 0 {
-            self.refinement.splice(&group_changes);
-        }
-        // Sequential patch phase.
-        let mut changed_entries = 0usize;
-        let mut layout_dirty = false;
-        for (&(tag, cluster, item), &bound) in affected.iter().zip(&bounds) {
-            match self.list_ids.get(&(tag, cluster)).copied() {
+        let joins = joins.placements().to_vec();
+        let report = ApplyReport {
+            changed_entries: patch.len(),
+            changed_groups: splice.len(),
+            cluster_joins: joins.len(),
+        };
+        Ok(ClusteredApplyPlan { new_tags: tags.into_names(), joins, splice, patch, report })
+    }
+
+    /// Land a plan made by [`Self::plan_apply`] against this very index
+    /// (nothing may touch the index in between) — the commit of
+    /// [`Self::apply_with`]'s phases 1–3 plus phase 4. Infallible and in
+    /// place: the recorded tags and joins land, the refinement splice
+    /// copies unchanged arena runs through, each changed bound list is
+    /// patched in one pass, new lists are appended to the pool and
+    /// emptied ones give their slots to the pool's last lists.
+    pub fn commit_apply(&mut self, plan: ClusteredApplyPlan) -> ApplyReport {
+        let ClusteredApplyPlan { new_tags, joins, splice, patch, report } = plan;
+        self.tags.commit(new_tags);
+        self.clustering.commit_joins(&joins);
+        self.refinement.commit_splice(splice);
+        let mut emptied: Vec<u32> = Vec::new();
+        for run in key_runs(&patch, |&(tag, cluster, ..)| (tag, cluster)) {
+            let key = (run[0].0, run[0].1);
+            let entries = run.iter().map(|&(_, _, item, bound)| (item, bound));
+            match self.list_ids.get(&key).copied() {
                 Some(slot) => {
                     let list = &mut self.list_pool[slot as usize];
-                    let stored = list.score_of(item);
-                    if bound > 0.0 {
-                        if stored == Some(bound) {
-                            continue;
-                        }
-                        list.remove(item);
-                        list.insert(item, bound);
-                        // As in the exact patch phase: a drained one-entry
-                        // packed list regrows raw via Empty; re-assert the
-                        // pool layout (no-op otherwise).
-                        list.set_layout(self.layout);
-                        changed_entries += 1;
-                    } else if stored.is_some() {
-                        list.remove(item);
-                        changed_entries += 1;
-                        if list.is_empty() {
-                            layout_dirty = true;
-                        }
+                    patch_list(list, entries, self.layout);
+                    if list.is_empty() {
+                        self.list_ids.remove(&key);
+                        emptied.push(slot);
                     }
                 }
-                None if bound > 0.0 => {
-                    // Validated against MAX_LAYOUT_SLOTS above: cannot
-                    // truncate.
-                    let slot = self.list_pool.len() as u32;
-                    let mut list = PostingList::new();
-                    list.insert(item, bound);
-                    list.set_layout(self.layout);
-                    self.list_ids.insert((tag, cluster), slot);
-                    self.list_pool.push(list);
-                    changed_entries += 1;
-                    layout_dirty = true;
+                None => {
+                    let list = patched_new_list(entries, self.layout);
+                    if !list.is_empty() {
+                        // Validated against MAX_LAYOUT_SLOTS by the plan:
+                        // cannot truncate.
+                        let slot = self.list_pool.len() as u32;
+                        self.list_ids.insert(key, slot);
+                        self.list_pool.push(list);
+                    }
                 }
-                None => {}
             }
         }
-        if layout_dirty {
-            // Restore the canonical pool layout — ascending key order,
-            // no empty lists — so the delta-maintained index is
-            // indistinguishable from a rebuild, list for list.
-            let mut keyed: Vec<((TagId, ClusterId), PostingList)> = self
-                .list_ids
-                .drain()
-                .map(|(key, slot)| (key, std::mem::take(&mut self.list_pool[slot as usize])))
-                .filter(|(_, list)| !list.is_empty())
-                .collect();
-            keyed.sort_unstable_by_key(|&(key, _)| key);
-            self.list_pool = Vec::with_capacity(keyed.len());
-            self.list_ids =
-                FxHashMap::with_capacity_and_hasher(keyed.len(), FxBuildHasher::default());
-            for (key, list) in keyed {
-                // The re-layout only drops empty lists, so the validated
-                // bound still holds.
-                let slot = self.list_pool.len() as u32;
-                self.list_ids.insert(key, slot);
-                self.list_pool.push(list);
-            }
+        if !emptied.is_empty() {
+            self.release_slots(emptied);
         }
         // Phase 4: the stamp moves only when something did.
-        let report = ApplyReport { changed_entries, changed_groups, cluster_joins: joins.len() };
         if !report.is_noop() {
             self.stamp = next_build_stamp();
         }
-        Ok(report)
+        report
+    }
+
+    /// Drop emptied lists (already gone from the key table) from the pool
+    /// without moving any other list but the ones that fill the holes:
+    /// each freed slot, highest first, takes the pool's current last list.
+    /// The keys of the lists that can move are found in one pass over the
+    /// key table — only ever run when a list empties.
+    fn release_slots(&mut self, mut freed: Vec<u32>) {
+        freed.sort_unstable_by(|a, b| b.cmp(a));
+        let tail_from = self.list_pool.len() - freed.len();
+        let mut tail_keys: FxHashMap<u32, (TagId, ClusterId)> = self
+            .list_ids
+            .iter()
+            .filter(|&(_, &slot)| slot as usize >= tail_from)
+            .map(|(&key, &slot)| (slot, key))
+            .collect();
+        for slot in freed {
+            let last = (self.list_pool.len() - 1) as u32;
+            self.list_pool.swap_remove(slot as usize);
+            // A freed last slot just pops: its key is no longer in the table.
+            if let Some(key) = tail_keys.remove(&last) {
+                self.list_ids.insert(key, slot);
+                tail_keys.insert(slot, key);
+            }
+        }
     }
 
     /// The tag symbol table the index is keyed on.
@@ -2405,6 +2491,42 @@ mod tests {
             let got_scores: Vec<f64> =
                 res.ranked.iter().map(|(_, s)| *s).filter(|s| *s > 0.0).collect();
             assert_eq!(got_scores, oracle_scores, "user {u}");
+        }
+    }
+
+    /// Freeing several pool slots at once fills each hole with the pool's
+    /// last list, highest hole first — so a list moved into a hole near
+    /// the tail can move again into a lower one — and every surviving key
+    /// still finds its own list.
+    #[test]
+    fn released_slots_keep_every_key_on_its_list() {
+        let (site, _, _) = site();
+        let mut index = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
+        let before: Vec<((TagId, ClusterId), PostingList)> = index
+            .list_ids
+            .iter()
+            .map(|(&key, &slot)| (key, index.list_pool[slot as usize].clone()))
+            .collect();
+        let len = index.list_pool.len();
+        assert!(len >= 4, "the fixture needs at least four lists, has {len}");
+        let freed = [1u32, len as u32 - 2];
+        let mut gone = Vec::new();
+        for slot in freed {
+            let key = *index.list_ids.iter().find(|&(_, &s)| s == slot).unwrap().0;
+            index.list_ids.remove(&key);
+            gone.push(key);
+        }
+        index.release_slots(freed.to_vec());
+        assert_eq!(index.list_pool.len(), len - 2);
+        let mut slots = std::collections::BTreeSet::new();
+        for (key, list) in &before {
+            if gone.contains(key) {
+                assert!(!index.list_ids.contains_key(key));
+                continue;
+            }
+            let slot = index.list_ids[key];
+            assert_eq!(&index.list_pool[slot as usize], list, "key {key:?}");
+            assert!(slots.insert(slot), "two keys share slot {slot}");
         }
     }
 

@@ -57,9 +57,9 @@ pub use cluster::{
 pub use error::ContentError;
 pub use events::TagEvent;
 pub use index::{
-    ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex,
-    ClusteredIndexBuilder, ClusteredQueryReport, ExactIndex, ExactIndexBuilder, IndexStats,
-    MemoryProfile, COMPRESS_AUTO_MIN_ENTRIES,
+    ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredApplyPlan, ClusteredIndex,
+    ClusteredIndexBuilder, ClusteredQueryReport, ExactApplyPlan, ExactIndex, ExactIndexBuilder,
+    IndexStats, MemoryProfile, COMPRESS_AUTO_MIN_ENTRIES,
 };
 pub use integrator::{ContentIntegrator, RemoteSite, SimulatedRemoteSite, SyncReport};
 pub use models::{
@@ -68,7 +68,7 @@ pub use models::{
 };
 pub use posting::{Layout, Posting, PostingList, PostingScan};
 pub use refinement::{RefinementIndex, ResolvedRefinement};
-pub use sitemodel::{distinct_keywords, SiteModel};
+pub use sitemodel::{distinct_keywords, SiteDelta, SiteModel, SiteView};
 pub use tags::{QueryTags, TagId, TagInterner};
 pub use topk::{top_k, TopKResult};
 pub use wire::{

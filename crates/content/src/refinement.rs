@@ -221,6 +221,86 @@ fn empty_map() -> &'static FxHashMap<NodeId, Span> {
     EMPTY.get_or_init(FxHashMap::default)
 }
 
+/// One planned group change of a [`RefinementSplice`].
+#[derive(Debug)]
+struct GroupEdit {
+    tag: TagId,
+    item: NodeId,
+    /// Where the group sits now; `None` for a group the splice creates.
+    old: Option<Span>,
+    /// Arena units the old group occupies (0 for a new group).
+    old_size: usize,
+    /// The group's new tagger run; empty when it disappears.
+    taggers: Vec<NodeId>,
+    /// The new run's encoding within the splice payload.
+    payload: std::ops::Range<usize>,
+}
+
+/// New group encodings, in the arena's layout.
+#[derive(Debug)]
+enum Payload {
+    Raw(Vec<NodeId>),
+    Packed(Vec<u8>),
+}
+
+impl Payload {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Raw(taggers) => taggers.len(),
+            Payload::Packed(bytes) => bytes.len(),
+        }
+    }
+}
+
+/// A refinement splice planned by [`RefinementIndex::plan_splice`] and
+/// landed by [`RefinementIndex::commit_splice`].
+#[derive(Debug)]
+pub(crate) struct RefinementSplice {
+    /// Changes to existing groups in arena order, then new groups by key.
+    edits: Vec<GroupEdit>,
+    payload: Payload,
+    /// Arena length after the splice, in arena units.
+    units: usize,
+    /// Tagger references after the splice.
+    refs: usize,
+}
+
+impl RefinementSplice {
+    /// Number of groups the splice replaces, adds or drops.
+    pub(crate) fn len(&self) -> usize {
+        self.edits.len()
+    }
+}
+
+/// Rebuild an arena from `old` and a sorted edit list: unchanged runs
+/// between edited groups are copied through, each edited group's old run
+/// is replaced by its new encoding from `new`, and new groups follow the
+/// copied tail. Returns each edit's new start.
+fn splice_runs<T: Copy>(
+    old: &mut Vec<T>,
+    edits: &[GroupEdit],
+    new: &[T],
+    units: usize,
+) -> Vec<usize> {
+    let mut out: Vec<T> = Vec::with_capacity(units);
+    let mut starts = Vec::with_capacity(edits.len());
+    let mut cursor = 0usize;
+    for edit in edits {
+        // An existing group ends the unchanged run before it; the first
+        // new group ends the tail (later ones find nothing left to copy).
+        let until = edit.old.map_or(old.len(), |span| span.start as usize);
+        out.extend_from_slice(&old[cursor..until]);
+        cursor = until + edit.old_size;
+        starts.push(out.len());
+        out.extend_from_slice(&new[edit.payload.clone()]);
+    }
+    if cursor < old.len() {
+        out.extend_from_slice(&old[cursor..]);
+    }
+    *old = out;
+    starts
+}
+
 /// Stack capacity of [`ResolvedRefinement`]: queries rarely carry more than
 /// a handful of keywords, so resolving one should not touch the heap.
 const INLINE_RESOLVED: usize = 8;
@@ -333,78 +413,156 @@ impl RefinementIndex {
         }
     }
 
-    /// Splice a batch of group changes into the index: each `(tag, item)`
-    /// key maps to the group's *new* tagger set (ascending; empty = the
-    /// group disappeared). The arena is rebuilt hole-free in one pass —
-    /// surviving groups keep their relative arena order (changed ones
-    /// replaced in place), emptied groups are dropped, and brand-new groups
-    /// are appended at the end in ascending `(tag, item)` order — so
-    /// [`Self::stats`] stays exact (`entries` is the arena length) and
-    /// every group answers [`Self::taggers`] exactly as a from-scratch
-    /// rebuild of the post-change site would. A compressed arena is
-    /// re-encoded after the splice (the whole arena is the touched run —
-    /// the raw splice already rewrites it end to end), and because every
-    /// group encodes independently, the re-encoded arena occupies exactly
-    /// the bytes a from-scratch compressed rebuild would.
-    pub(crate) fn splice(&mut self, changes: &FxHashMap<(TagId, NodeId), Vec<NodeId>>) {
-        let restore = self.layout();
-        self.set_layout(Layout::Raw);
-        let ArenaRepr::Raw(old) = std::mem::take(&mut self.arena) else {
-            return;
+    /// Plan a batch of group changes without touching the index: each
+    /// `(tag, item)` key maps to the group's *new* tagger run (ascending;
+    /// empty = the group disappears). Surviving groups keep their relative
+    /// arena order (changed ones are replaced in place), emptied groups
+    /// drop out and brand-new groups append at the end in ascending
+    /// `(tag, item)` order, so the arena stays hole-free and every group
+    /// answers [`Self::taggers`] exactly as a from-scratch rebuild would.
+    /// New runs are encoded here, in the arena's layout — per group and
+    /// canonically, so a compressed arena keeps the bytes a compressed
+    /// rebuild would hold — and an arena that would outgrow its `u32`
+    /// spans is a capacity error. [`Self::commit_splice`] lands the plan.
+    pub(crate) fn plan_splice(
+        &self,
+        changes: FxHashMap<(TagId, NodeId), Vec<NodeId>>,
+    ) -> crate::Result<RefinementSplice> {
+        let mut edits: Vec<GroupEdit> = changes
+            .into_iter()
+            .filter_map(|((tag, item), taggers)| {
+                let old = self.span(tag, item);
+                let old_size = old.map_or(0, |span| self.span_size(span));
+                (old.is_some() || !taggers.is_empty()).then_some(GroupEdit {
+                    tag,
+                    item,
+                    old,
+                    old_size,
+                    taggers,
+                    payload: 0..0,
+                })
+            })
+            .collect();
+        // Existing groups in arena order, then new ones by key.
+        edits.sort_unstable_by_key(|e| {
+            (e.old.is_none(), e.old.map_or(0, |s| s.start), e.tag, e.item)
+        });
+        let (mut units, mut refs) = (self.arena_units(), self.entry_count());
+        let mut payload = match self.arena {
+            ArenaRepr::Raw(_) => Payload::Raw(Vec::new()),
+            ArenaRepr::Packed { .. } => Payload::Packed(Vec::new()),
         };
-        // Existing groups in arena order, so survivors keep their layout.
-        let mut groups: Vec<(u32, TagId, NodeId)> = Vec::new();
-        for (slot, by_item) in self.by_tag.iter().enumerate() {
-            for (&item, span) in by_item {
-                groups.push((span.start, TagId(slot as u32), item));
+        for edit in &mut edits {
+            let from = payload.len();
+            match &mut payload {
+                Payload::Raw(taggers) => taggers.extend_from_slice(&edit.taggers),
+                Payload::Packed(bytes) => encode_group(bytes, &edit.taggers),
+            }
+            edit.payload = from..payload.len();
+            units = units - edit.old_size + edit.payload.len();
+            refs = refs - edit.old.map_or(0, |span| span.len as usize) + edit.taggers.len();
+        }
+        if units > u32::MAX as usize {
+            return Err(crate::ContentError::CapacityExceeded {
+                what: "refinement arena units",
+                limit: u64::from(u32::MAX),
+            });
+        }
+        Ok(RefinementSplice { edits, payload, units, refs })
+    }
+
+    /// Land a [`RefinementSplice`] planned against this very index:
+    /// unchanged runs of the arena are copied through as they are, only
+    /// the planned groups' encodings are written, and the spans after
+    /// each size change shift by the accumulated difference. Nothing is
+    /// decoded.
+    pub(crate) fn commit_splice(&mut self, splice: RefinementSplice) {
+        let RefinementSplice { edits, payload, units, refs } = splice;
+        if edits.is_empty() {
+            return;
+        }
+        let starts = match (&mut self.arena, &payload) {
+            (ArenaRepr::Raw(arena), Payload::Raw(new)) => splice_runs(arena, &edits, new, units),
+            (ArenaRepr::Packed { bytes, len }, Payload::Packed(new)) => {
+                *len = refs;
+                splice_runs(bytes, &edits, new, units)
+            }
+            // A plan is always made in the arena's own layout.
+            _ => return,
+        };
+        // Running size change after each edited group, by old start.
+        let mut shifts: Vec<(u32, i64)> = Vec::new();
+        let mut total = 0i64;
+        for edit in edits.iter().filter(|e| e.old.is_some()) {
+            total += edit.payload.len() as i64 - edit.old_size as i64;
+            shifts.push((edit.old.map_or(0, |s| s.start), total));
+        }
+        if let Some(&(first, _)) = shifts.first() {
+            for span in self.by_tag.iter_mut().flat_map(|by_item| by_item.values_mut()) {
+                if span.start > first {
+                    let before = shifts.partition_point(|&(start, _)| start < span.start);
+                    span.start = (i64::from(span.start) + shifts[before - 1].1) as u32;
+                }
             }
         }
-        groups.sort_unstable_by_key(|&(start, ..)| start);
-        let mut arena: Vec<NodeId> = Vec::with_capacity(old.len());
-        for (_, tag, item) in groups {
-            let slice: &[NodeId] = match changes.get(&(tag, item)) {
-                Some(taggers) => taggers.as_slice(),
-                None => {
-                    let span = self.by_tag[tag.0 as usize][&item];
-                    &old[span.start as usize..][..span.len as usize]
+        for (edit, start) in edits.into_iter().zip(starts) {
+            let slot = edit.tag.0 as usize;
+            if edit.taggers.is_empty() {
+                if let Some(by_item) = self.by_tag.get_mut(slot) {
+                    by_item.remove(&edit.item);
                 }
-            };
-            if slice.is_empty() {
-                self.by_tag[tag.0 as usize].remove(&item);
                 continue;
             }
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let start = u32::try_from(arena.len()).expect("fewer than 2^32 tagger references");
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let len = u32::try_from(slice.len()).expect("fewer than 2^32 taggers per group");
-            arena.extend_from_slice(slice);
-            self.by_tag[tag.0 as usize].insert(item, Span { start, len });
-        }
-        // Groups the changes introduce (not present even after the walk
-        // re-inserted every survivor) append at the end, deterministically.
-        let mut fresh: Vec<(TagId, NodeId, &[NodeId])> = changes
-            .iter()
-            .filter(|&(&(tag, item), taggers)| {
-                !taggers.is_empty()
-                    && !self.by_tag.get(tag.0 as usize).is_some_and(|m| m.contains_key(&item))
-            })
-            .map(|(&(tag, item), taggers)| (tag, item, taggers.as_slice()))
-            .collect();
-        fresh.sort_unstable_by_key(|&(tag, item, _)| (tag, item));
-        for (tag, item, taggers) in fresh {
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let start = u32::try_from(arena.len()).expect("fewer than 2^32 tagger references");
-            // lint: allow(no_panic, reason = "true invariant: u32 arena spans are the documented design envelope; a site with 2^32 tagger references cannot be built at all")
-            let len = u32::try_from(taggers.len()).expect("fewer than 2^32 taggers per group");
-            arena.extend_from_slice(taggers);
-            let slot = tag.0 as usize;
             if self.by_tag.len() <= slot {
                 self.by_tag.resize_with(slot + 1, FxHashMap::default);
             }
-            self.by_tag[slot].insert(item, Span { start, len });
+            // The plan bounded the arena by `u32` units and every tagger
+            // takes at least one unit, so start and count both fit.
+            let span = Span { start: start as u32, len: edit.taggers.len() as u32 };
+            self.by_tag[slot].insert(edit.item, span);
         }
-        self.arena = ArenaRepr::Raw(arena);
-        self.set_layout(restore);
+    }
+
+    /// [`Self::plan_splice`] then [`Self::commit_splice`].
+    #[cfg(test)]
+    pub(crate) fn splice(&mut self, changes: &FxHashMap<(TagId, NodeId), Vec<NodeId>>) {
+        let splice = self.plan_splice(changes.clone()).expect("test arenas fit u32 spans");
+        self.commit_splice(splice);
+    }
+
+    /// The span of one group, if stored.
+    fn span(&self, tag: TagId, item: NodeId) -> Option<Span> {
+        self.by_tag.get(tag.0 as usize).and_then(|by_item| by_item.get(&item)).copied()
+    }
+
+    /// How many arena units — ids raw, bytes compressed — one group
+    /// occupies: its count raw; compressed, a walk over its varints that
+    /// steps over whole blocks on long groups.
+    fn span_size(&self, span: Span) -> usize {
+        let ArenaRepr::Packed { bytes, .. } = &self.arena else {
+            return span.len as usize;
+        };
+        let (start, len) = (span.start as usize, span.len as usize);
+        let mut pos = start;
+        if len <= SKIP_EVERY {
+            for _ in 0..len {
+                get_u64(bytes, &mut pos);
+            }
+        } else {
+            for _ in 0..len.div_ceil(SKIP_EVERY) {
+                get_u64(bytes, &mut pos);
+                pos += get_u64(bytes, &mut pos) as usize;
+            }
+        }
+        pos - start
+    }
+
+    /// The arena's length in its own units (ids raw, bytes compressed).
+    fn arena_units(&self) -> usize {
+        match &self.arena {
+            ArenaRepr::Raw(taggers) => taggers.len(),
+            ArenaRepr::Packed { bytes, .. } => bytes.len(),
+        }
     }
 
     /// `taggers(i, k)` for an interned tag, ascending. Empty for unknown

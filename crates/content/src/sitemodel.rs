@@ -185,95 +185,137 @@ impl SiteModel {
     }
 
     /// [`Self::apply`] with an error channel for the fault-injection
-    /// harness. The site model is all-or-nothing by construction: every
+    /// harness: [`Self::plan_apply`] then [`Self::commit_apply`]. Every
     /// fallible step (here, the [`crate::faults::SITE_APPLY`] failpoint)
-    /// runs *before* the first mutation, so an `Err` return guarantees the
+    /// belongs to the read-only plan, so an `Err` return guarantees the
     /// model is byte-identical to its pre-call state.
     pub fn try_apply(&mut self, events: &[TagEvent]) -> crate::Result<usize> {
+        let delta = self.plan_apply(events)?;
+        Ok(self.commit_apply(delta))
+    }
+
+    /// Plan a batch of tagging events without touching the model: replay
+    /// them in order over a [`SiteDelta`] that holds the post-batch value
+    /// of every key the batch touches — `taggers(i, k)` groups, `items(u)`
+    /// runs, whether a tagger still uses a tag — and nothing else, so a
+    /// plan costs O(events × touched run lengths), never O(site). Read the
+    /// post-batch site through [`Self::view_with`]; land it with
+    /// [`Self::commit_apply`]. Fires [`crate::faults::SITE_APPLY`] first.
+    pub fn plan_apply(&self, events: &[TagEvent]) -> crate::Result<SiteDelta> {
         crate::faults::fire(crate::faults::SITE_APPLY)?;
-        let mut effective = 0usize;
+        let mut delta = SiteDelta::default();
         for event in events {
-            let tag = normalize(event.tag()).into_owned();
+            let tag = normalize(event.tag());
             let (tagger, item) = (event.tagger(), event.item());
-            match event {
-                TagEvent::Assign { .. } => {
-                    let taggers =
-                        self.taggers_of.entry(item).or_default().entry(tag.clone()).or_default();
-                    let Err(pos) = taggers.binary_search(&tagger) else {
-                        // Duplicate assignment: the (possibly just-created)
-                        // group already lists the tagger, so nothing below
-                        // can have changed either.
-                        continue;
-                    };
-                    taggers.insert(pos, tagger);
-                    self.users.insert(tagger);
-                    self.items.insert(item);
-                    let items = self.items_of.entry(tagger).or_default();
+            let listed = self.view_with(&delta).taggers_of(item, &tag).binary_search(&tagger);
+            match (event, listed) {
+                // Duplicate assignments and retractions of absent triples
+                // change nothing and leave the delta untouched.
+                (TagEvent::Assign { .. }, Ok(_)) | (TagEvent::Retract { .. }, Err(_)) => {}
+                (TagEvent::Assign { .. }, Err(pos)) => {
+                    delta.group_mut(self, item, &tag).insert(pos, tagger);
+                    delta.users.insert(tagger);
+                    delta.items.insert(item);
+                    let items = delta.items_of_mut(self, tagger);
                     if let Err(pos) = items.binary_search(&item) {
                         items.insert(pos, item);
                     }
-                    self.tags_of.entry(tagger).or_default().insert(tag.clone());
-                    self.items_with_tag.entry(tag.clone()).or_default().insert(item);
-                    self.tags.insert(tag);
-                    effective += 1;
+                    delta.uses_tag.insert((tagger, tag.into_owned()), true);
+                    delta.effective += 1;
                 }
-                TagEvent::Retract { .. } => {
-                    let Some(by_tag) = self.taggers_of.get_mut(&item) else { continue };
-                    let Some(taggers) = by_tag.get_mut(&tag) else { continue };
-                    let Ok(pos) = taggers.binary_search(&tagger) else { continue };
-                    taggers.remove(pos);
-                    let group_emptied = taggers.is_empty();
-                    if group_emptied {
-                        by_tag.remove(&tag);
-                        if by_tag.is_empty() {
-                            self.taggers_of.remove(&item);
-                        }
-                        if let Some(items) = self.items_with_tag.get_mut(&tag) {
-                            items.remove(&item);
-                            if items.is_empty() {
-                                self.items_with_tag.remove(&tag);
-                                self.tags.remove(&tag);
-                            }
-                        }
-                    }
+                (TagEvent::Retract { .. }, Ok(pos)) => {
+                    delta.group_mut(self, item, &tag).remove(pos);
                     // `items(u)` drops the item only once the tagger has no
                     // remaining tag on it.
-                    let still_tags_item = self.taggers_of.get(&item).is_some_and(|by_tag| {
-                        by_tag.values().any(|t| t.binary_search(&tagger).is_ok())
-                    });
+                    let still_tags_item = self
+                        .view_with(&delta)
+                        .item_tags(item)
+                        .any(|(_, taggers)| taggers.binary_search(&tagger).is_ok());
                     if !still_tags_item {
-                        if let Some(items) = self.items_of.get_mut(&tagger) {
-                            if let Ok(pos) = items.binary_search(&item) {
-                                items.remove(pos);
-                            }
-                            if items.is_empty() {
-                                self.items_of.remove(&tagger);
-                            }
+                        let items = delta.items_of_mut(self, tagger);
+                        if let Ok(pos) = items.binary_search(&item) {
+                            items.remove(pos);
                         }
                     }
                     // `tags(u)` drops the tag only once the tagger uses it
-                    // on no item at all.
-                    let still_uses_tag = self.items_with_tag.get(&tag).is_some_and(|items| {
-                        items.iter().any(|i| {
-                            self.taggers_of
-                                .get(i)
-                                .and_then(|by_tag| by_tag.get(&tag))
-                                .is_some_and(|t| t.binary_search(&tagger).is_ok())
-                        })
-                    });
-                    if !still_uses_tag {
-                        if let Some(tags) = self.tags_of.get_mut(&tagger) {
-                            tags.remove(&tag);
-                            if tags.is_empty() {
-                                self.tags_of.remove(&tagger);
-                            }
-                        }
-                    }
-                    effective += 1;
+                    // on no item at all. Every item the tagger still tags
+                    // with it is in `items(u)`, so scanning the tagger's
+                    // own run answers that without visiting every item
+                    // that carries the tag.
+                    let view = self.view_with(&delta);
+                    let still_uses_tag = view
+                        .items_of(tagger)
+                        .iter()
+                        .any(|&i| view.taggers_of(i, &tag).binary_search(&tagger).is_ok());
+                    delta.uses_tag.insert((tagger, tag.into_owned()), still_uses_tag);
+                    delta.effective += 1;
                 }
             }
         }
-        Ok(effective)
+        Ok(delta)
+    }
+
+    /// Land a [`SiteDelta`] planned by [`Self::plan_apply`] against this
+    /// very model, and return its effective event count. Infallible and
+    /// in place: every touched key takes its planned post-batch value, and
+    /// the derived `tags`, `tags(u)` and items-per-tag sets follow.
+    pub fn commit_apply(&mut self, delta: SiteDelta) -> usize {
+        let SiteDelta { groups, items_of, uses_tag, users, items, effective } = delta;
+        self.users.extend(users);
+        self.items.extend(items);
+        for (item, by_tag) in groups {
+            for (tag, taggers) in by_tag {
+                if taggers.is_empty() {
+                    if let Some(live) = self.taggers_of.get_mut(&item) {
+                        live.remove(&tag);
+                        if live.is_empty() {
+                            self.taggers_of.remove(&item);
+                        }
+                    }
+                    if let Some(items) = self.items_with_tag.get_mut(&tag) {
+                        items.remove(&item);
+                        if items.is_empty() {
+                            self.items_with_tag.remove(&tag);
+                            self.tags.remove(&tag);
+                        }
+                    }
+                } else {
+                    self.items_with_tag.entry(tag.clone()).or_default().insert(item);
+                    self.tags.insert(tag.clone());
+                    self.taggers_of.entry(item).or_default().insert(tag, taggers);
+                }
+            }
+        }
+        for (user, items) in items_of {
+            if items.is_empty() {
+                self.items_of.remove(&user);
+            } else {
+                self.items_of.insert(user, items);
+            }
+        }
+        for ((user, tag), uses) in uses_tag {
+            if uses {
+                self.tags_of.entry(user).or_default().insert(tag);
+            } else if let Some(tags) = self.tags_of.get_mut(&user) {
+                tags.remove(&tag);
+                if tags.is_empty() {
+                    self.tags_of.remove(&user);
+                }
+            }
+        }
+        effective
+    }
+
+    /// The model as it stands, through the read surface index plans use
+    /// (a [`SiteView`] with nothing pending).
+    pub fn view(&self) -> SiteView<'_> {
+        SiteView { base: self, delta: None }
+    }
+
+    /// The model as it will stand once `delta` — planned against this
+    /// model by [`Self::plan_apply`] — commits.
+    pub fn view_with<'a>(&'a self, delta: &'a SiteDelta) -> SiteView<'a> {
+        SiteView { base: self, delta: Some(delta) }
     }
 
     /// Tags used by a user.
@@ -322,6 +364,115 @@ impl SiteModel {
     }
 
     /// Jaccard similarity of two users' tagged item sets (Def. 12 predicate).
+    pub fn behavior_jaccard(&self, a: NodeId, b: NodeId) -> f64 {
+        jaccard(self.items_of(a), self.items_of(b))
+    }
+}
+
+/// What one event batch does to a [`SiteModel`], planned read-only by
+/// [`SiteModel::plan_apply`]: the post-batch value of every touched key,
+/// nothing else. Committed by [`SiteModel::commit_apply`]; read before
+/// then through [`SiteModel::view_with`].
+#[derive(Debug, Clone, Default)]
+pub struct SiteDelta {
+    /// Post-batch `taggers(i, k)` of every touched `(item, tag)`, keyed
+    /// item-first like the model; an empty run means the group is gone.
+    groups: FxHashMap<NodeId, FxHashMap<String, Vec<NodeId>>>,
+    /// Post-batch `items(u)` of every touched tagger; empty means none.
+    items_of: FxHashMap<NodeId, Vec<NodeId>>,
+    /// Whether each touched `(tagger, tag)` pair is still in `tags(u)`.
+    uses_tag: FxHashMap<(NodeId, String), bool>,
+    /// Taggers and items of the effective assigns (the model's user and
+    /// item sets only grow).
+    users: BTreeSet<NodeId>,
+    items: BTreeSet<NodeId>,
+    /// Events that changed the site.
+    effective: usize,
+}
+
+impl SiteDelta {
+    /// How many of the planned events change the site.
+    pub fn effective(&self) -> usize {
+        self.effective
+    }
+
+    /// The touched group's post-batch run, seeded from `base` on first
+    /// touch.
+    fn group_mut(&mut self, base: &SiteModel, item: NodeId, tag: &str) -> &mut Vec<NodeId> {
+        self.groups
+            .entry(item)
+            .or_default()
+            .entry(tag.to_string())
+            .or_insert_with(|| base.taggers_of(item, tag).to_vec())
+    }
+
+    /// The touched tagger's post-batch `items(u)`, seeded from `base` on
+    /// first touch.
+    fn items_of_mut(&mut self, base: &SiteModel, user: NodeId) -> &mut Vec<NodeId> {
+        self.items_of.entry(user).or_insert_with(|| base.items_of(user).to_vec())
+    }
+}
+
+/// A [`SiteModel`] seen through a pending [`SiteDelta`]: every read
+/// answers as the model will once the delta commits, without the commit.
+/// This is the read surface of the index plans and of the clustering
+/// predicates recluster-on-join evaluates; with no delta
+/// ([`SiteModel::view`]) it is the model itself.
+#[derive(Debug, Clone, Copy)]
+pub struct SiteView<'a> {
+    base: &'a SiteModel,
+    delta: Option<&'a SiteDelta>,
+}
+
+impl<'a> SiteView<'a> {
+    /// `network(u)`, ascending — tag events never change networks.
+    pub fn network_of(&self, user: NodeId) -> &'a [NodeId] {
+        self.base.network_of(user)
+    }
+
+    /// `items(u)`, ascending.
+    pub fn items_of(&self, user: NodeId) -> &'a [NodeId] {
+        match self.delta.and_then(|d| d.items_of.get(&user)) {
+            Some(items) => items,
+            None => self.base.items_of(user),
+        }
+    }
+
+    /// `taggers(i, k)`, ascending.
+    pub fn taggers_of(&self, item: NodeId, tag: &str) -> &'a [NodeId] {
+        let planned = self
+            .delta
+            .and_then(|d| d.groups.get(&item))
+            .and_then(|by_tag| by_tag.get(normalize(tag).as_ref()));
+        match planned {
+            Some(taggers) => taggers,
+            None => self.base.taggers_of(item, tag),
+        }
+    }
+
+    /// The tags on one item with their tagger groups, in arbitrary order
+    /// (see [`SiteModel::item_tags`]).
+    pub fn item_tags(&self, item: NodeId) -> impl Iterator<Item = (&'a str, &'a [NodeId])> + 'a {
+        let planned = self.delta.and_then(|d| d.groups.get(&item));
+        self.base
+            .item_tags(item)
+            .filter(move |(tag, _)| !planned.is_some_and(|by_tag| by_tag.contains_key(*tag)))
+            .chain(
+                planned
+                    .into_iter()
+                    .flatten()
+                    .filter(|(_, taggers)| !taggers.is_empty())
+                    .map(|(tag, taggers)| (tag.as_str(), taggers.as_slice())),
+            )
+    }
+
+    /// Jaccard similarity of two users' networks (Def. 11 predicate).
+    pub fn network_jaccard(&self, a: NodeId, b: NodeId) -> f64 {
+        jaccard(self.network_of(a), self.network_of(b))
+    }
+
+    /// Jaccard similarity of two users' tagged item sets (Def. 12
+    /// predicate).
     pub fn behavior_jaccard(&self, a: NodeId, b: NodeId) -> f64 {
         jaccard(self.items_of(a), self.items_of(b))
     }

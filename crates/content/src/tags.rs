@@ -58,6 +58,16 @@ impl TagInterner {
         id
     }
 
+    /// Append the names a [`PlannedTags`] over this very table recorded,
+    /// giving each the id the plan handed out.
+    pub(crate) fn commit(&mut self, names: Vec<String>) {
+        for name in names {
+            let id = TagId(self.names.len() as u32);
+            self.names.push(name.clone());
+            self.ids.insert(name, id);
+        }
+    }
+
     /// Look up a tag's id without interning it. Allocation-free when the
     /// probe string is already lowercase ASCII.
     pub fn get(&self, tag: &str) -> Option<TagId> {
@@ -82,6 +92,55 @@ impl TagInterner {
     /// Iterate `(id, tag)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
         self.names.iter().enumerate().map(|(i, name)| (TagId(i as u32), name.as_str()))
+    }
+}
+
+/// Tags a planned apply interns, recorded against a read-only
+/// [`TagInterner`] instead of a copy of it: ids continue the table's dense
+/// numbering, and [`TagInterner::commit`] appends the recorded names in
+/// the same order, so every planned id is the id the tag gets.
+pub(crate) struct PlannedTags<'a> {
+    base: &'a TagInterner,
+    ids: FxHashMap<String, TagId>,
+    names: Vec<String>,
+}
+
+impl<'a> PlannedTags<'a> {
+    pub(crate) fn new(base: &'a TagInterner) -> Self {
+        PlannedTags { base, ids: FxHashMap::default(), names: Vec::new() }
+    }
+
+    /// [`TagInterner::intern`] as the table will answer after the commit;
+    /// a table that would outgrow `u32` ids is a capacity error.
+    pub(crate) fn intern(&mut self, tag: &str) -> crate::Result<TagId> {
+        let norm = normalize(tag);
+        if let Some(id) = self.base.get(&norm).or_else(|| self.ids.get(norm.as_ref()).copied()) {
+            return Ok(id);
+        }
+        let id = u32::try_from(self.base.len() + self.names.len()).map(TagId).map_err(|_| {
+            crate::ContentError::CapacityExceeded {
+                what: "distinct tags",
+                limit: u64::from(u32::MAX),
+            }
+        })?;
+        let owned = norm.into_owned();
+        self.names.push(owned.clone());
+        self.ids.insert(owned, id);
+        Ok(id)
+    }
+
+    /// The normalized text of a known or planned tag.
+    pub(crate) fn resolve(&self, id: TagId) -> Option<&str> {
+        let index = (id.0 as usize).checked_sub(self.base.len());
+        match index {
+            None => self.base.resolve(id),
+            Some(index) => self.names.get(index).map(String::as_str),
+        }
+    }
+
+    /// The names to append, in id order.
+    pub(crate) fn into_names(self) -> Vec<String> {
+        self.names
     }
 }
 

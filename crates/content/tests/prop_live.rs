@@ -14,6 +14,7 @@ use socialscope_content::{
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{GraphBuilder, NodeId, SocialGraph};
+use std::collections::BTreeSet;
 
 /// Thread counts every apply sweeps: sequential identity, smallest real
 /// fan-out, and an odd over-subscription.
@@ -353,6 +354,197 @@ proptest! {
         }
         prop_assert_eq!(exact.stats(), exact_stats);
         prop_assert_eq!(clustered.stats_with_refinement(), clustered_stats);
+    }
+}
+
+/// A triple-set model of the tagging primitives: the site as the bare set
+/// of `(tagger, item, tag)` assignments it holds, plus the users and items
+/// it has seen. Every accessor of a [`SiteModel`] that tag events move is
+/// a projection of this set.
+struct TripleOracle {
+    triples: BTreeSet<(NodeId, NodeId, String)>,
+    users: BTreeSet<NodeId>,
+    items: BTreeSet<NodeId>,
+}
+
+impl TripleOracle {
+    fn of(site: &SiteModel) -> Self {
+        let triples = site
+            .tag_assignments()
+            .flat_map(|(item, tag, taggers)| {
+                taggers.iter().map(move |&tagger| (tagger, item, tag.to_string()))
+            })
+            .collect();
+        TripleOracle { triples, users: site.users().collect(), items: site.items().collect() }
+    }
+
+    /// Apply a batch; returns how many events changed the triple set.
+    fn apply(&mut self, events: &[TagEvent]) -> usize {
+        let mut effective = 0;
+        for event in events {
+            let triple = (event.tagger(), event.item(), event.tag().to_lowercase());
+            let changed = if event.is_assign() {
+                self.users.insert(event.tagger());
+                self.items.insert(event.item());
+                self.triples.insert(triple)
+            } else {
+                self.triples.remove(&triple)
+            };
+            effective += usize::from(changed);
+        }
+        effective
+    }
+
+    fn taggers_of(&self, item: NodeId, tag: &str) -> Vec<NodeId> {
+        let tag = tag.to_lowercase();
+        self.triples.iter().filter(|(_, i, t)| *i == item && *t == tag).map(|t| t.0).collect()
+    }
+
+    fn items_of(&self, user: NodeId) -> Vec<NodeId> {
+        let items: BTreeSet<NodeId> =
+            self.triples.iter().filter(|(u, ..)| *u == user).map(|t| t.1).collect();
+        items.into_iter().collect()
+    }
+
+    fn tags_of(&self, user: NodeId) -> BTreeSet<String> {
+        self.triples.iter().filter(|(u, ..)| *u == user).map(|t| t.2.clone()).collect()
+    }
+
+    fn items_with_tag(&self, tag: &str) -> BTreeSet<NodeId> {
+        self.triples.iter().filter(|(.., t)| t == tag).map(|t| t.1).collect()
+    }
+
+    fn tags(&self) -> Vec<String> {
+        let tags: BTreeSet<String> = self.triples.iter().map(|t| t.2.clone()).collect();
+        tags.into_iter().collect()
+    }
+}
+
+/// One item's `(tag, taggers)` groups, sorted, whatever the iteration
+/// order of the source.
+fn sorted_groups<'a>(
+    groups: impl Iterator<Item = (&'a str, &'a [NodeId])>,
+) -> Vec<(String, Vec<NodeId>)> {
+    let mut groups: Vec<(String, Vec<NodeId>)> =
+        groups.map(|(tag, taggers)| (tag.to_string(), taggers.to_vec())).collect();
+    groups.sort();
+    groups
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// **The planned view is the applied site.** For arbitrary batches —
+    /// with duplicate assigns, retracts of absent triples, an assign and
+    /// a retract of one triple in the same batch, in-graph late joiners
+    /// and taggers the graph never saw — every read an index plan makes
+    /// through [`SiteModel::view_with`] equals the same read on a clone
+    /// that applied the batch one event at a time; once the delta
+    /// commits, every accessor of the model equals the clone's and a
+    /// triple-set oracle's.
+    #[test]
+    fn site_view_reads_match_the_applied_clone(
+        (users, items, fr, tg) in arb_inputs(),
+        (raw_events, _) in arb_stream(),
+        replays in prop::collection::vec((0usize..32, 0usize..3), 0..6),
+    ) {
+        let (_, g, mut user_ids, item_ids) = build_graphs(users, 2, items, &fr, &tg, &[0, 1]);
+        let mut events = build_events(&raw_events, &user_ids, &item_ids);
+        // Taggers the graph never saw, one per replay pick.
+        let strangers: Vec<NodeId> = (0..replays.len() as u64).map(|k| NodeId(1_000_000 + k)).collect();
+        for (&(pick, how), &stranger) in replays.iter().zip(&strangers) {
+            let item = item_ids[pick % item_ids.len()];
+            let tag = TAGS[pick % TAGS.len()];
+            let tagger = user_ids[pick % user_ids.len()];
+            match how {
+                // A duplicate assign, then the same triple retracted.
+                0 => events.extend([
+                    TagEvent::assign(tagger, item, tag),
+                    TagEvent::assign(tagger, item, tag.to_uppercase()),
+                    TagEvent::retract(tagger, item, tag),
+                ]),
+                // A retract of a triple nobody ever assigned.
+                1 => events.push(TagEvent::retract(tagger, item, "neverassigned")),
+                _ => events.push(TagEvent::assign(stranger, item, tag)),
+            }
+        }
+        user_ids.extend(&strangers);
+        let site = SiteModel::from_graph(&g);
+        let mut applied = site.clone();
+        let effective: usize =
+            events.iter().map(|e| applied.apply(std::slice::from_ref(e))).sum();
+        let mut oracle = TripleOracle::of(&site);
+        prop_assert_eq!(oracle.apply(&events), effective);
+
+        let delta = site.plan_apply(&events).unwrap();
+        prop_assert_eq!(delta.effective(), effective);
+        let view = site.view_with(&delta);
+        let tags: Vec<&str> = TAGS.iter().copied().chain(["neverassigned", "MUSEUM"]).collect();
+        for &u in &user_ids {
+            prop_assert_eq!(view.network_of(u), applied.network_of(u));
+            prop_assert_eq!(view.items_of(u), applied.items_of(u), "items_of {}", u);
+            for &v in &user_ids {
+                prop_assert_eq!(view.network_jaccard(u, v), applied.network_jaccard(u, v));
+                prop_assert_eq!(view.behavior_jaccard(u, v), applied.behavior_jaccard(u, v));
+            }
+        }
+        for &i in &item_ids {
+            for &tag in &tags {
+                prop_assert_eq!(view.taggers_of(i, tag), applied.taggers_of(i, tag));
+            }
+            prop_assert_eq!(
+                sorted_groups(view.item_tags(i)),
+                sorted_groups(applied.item_tags(i)),
+                "item_tags {}", i
+            );
+        }
+
+        let mut committed = site.clone();
+        prop_assert_eq!(committed.commit_apply(delta), effective);
+        prop_assert_eq!(committed.users().collect::<Vec<_>>(), applied.users().collect::<Vec<_>>());
+        prop_assert_eq!(committed.users().collect::<BTreeSet<_>>(), oracle.users.clone());
+        prop_assert_eq!(committed.items().collect::<Vec<_>>(), applied.items().collect::<Vec<_>>());
+        prop_assert_eq!(committed.items().collect::<BTreeSet<_>>(), oracle.items.clone());
+        prop_assert_eq!(committed.tags().collect::<Vec<_>>(), applied.tags().collect::<Vec<_>>());
+        prop_assert_eq!(committed.tags().map(str::to_string).collect::<Vec<_>>(), oracle.tags());
+        prop_assert_eq!(committed.user_count(), applied.user_count());
+        prop_assert_eq!(committed.item_count(), applied.item_count());
+        prop_assert_eq!(committed.tag_count(), applied.tag_count());
+        let mut assignments: Vec<(NodeId, String, Vec<NodeId>)> = committed
+            .tag_assignments()
+            .map(|(i, t, taggers)| (i, t.to_string(), taggers.to_vec()))
+            .collect();
+        let mut want: Vec<(NodeId, String, Vec<NodeId>)> = applied
+            .tag_assignments()
+            .map(|(i, t, taggers)| (i, t.to_string(), taggers.to_vec()))
+            .collect();
+        assignments.sort();
+        want.sort();
+        prop_assert_eq!(assignments, want);
+        for &u in &user_ids {
+            prop_assert_eq!(committed.items_of(u), applied.items_of(u));
+            prop_assert_eq!(committed.items_of(u), oracle.items_of(u).as_slice());
+            prop_assert_eq!(committed.network_of(u), applied.network_of(u));
+            prop_assert_eq!(committed.tags_of(u), applied.tags_of(u));
+            prop_assert_eq!(committed.tags_of(u), &oracle.tags_of(u), "tags_of {}", u);
+        }
+        for &tag in &tags {
+            prop_assert_eq!(committed.items_with_tag(tag), applied.items_with_tag(tag));
+            prop_assert_eq!(
+                committed.items_with_tag(tag),
+                &oracle.items_with_tag(&tag.to_lowercase())
+            );
+        }
+        for &i in &item_ids {
+            for &tag in &tags {
+                prop_assert_eq!(committed.taggers_of(i, tag), applied.taggers_of(i, tag));
+                prop_assert_eq!(committed.taggers_of(i, tag), oracle.taggers_of(i, tag).as_slice());
+            }
+            prop_assert_eq!(
+                sorted_groups(committed.item_tags(i)),
+                sorted_groups(applied.item_tags(i))
+            );
+        }
     }
 }
 

@@ -69,7 +69,7 @@ impl NetworkAwareSearch {
     }
 
     /// Apply a batch of tagging events to the live engine: the site model
-    /// updates first, then the exact index patches itself to exactly the
+    /// takes the batch and the exact index patches itself to exactly the
     /// state a from-scratch rebuild over the updated site would produce —
     /// every subsequent query (single or batch) answers from the fresh
     /// state. Threads from [`Exec::auto`].
@@ -95,18 +95,20 @@ impl NetworkAwareSearch {
         self.try_apply_with(&Exec::auto(), events)
     }
 
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. The site update is
-    /// staged on a clone and committed only after the index apply (itself
-    /// transactional) succeeds.
+    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. Plan, then commit:
+    /// the site plans the batch as a delta ([`SiteModel::plan_apply`]),
+    /// the index plans against the site as the delta will leave it, and
+    /// only when both plans stand do the index and then the site commit
+    /// in place — nothing is cloned, and the commits cannot fail.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         events: &[TagEvent],
     ) -> ContentResult<ApplyReport> {
-        let mut staged_site = self.site.clone();
-        staged_site.try_apply(events)?;
-        let report = self.index.try_apply_with(exec, &staged_site, events)?;
-        self.site = staged_site;
+        let delta = self.site.plan_apply(events)?;
+        let plan = self.index.plan_apply(exec, &self.site.view_with(&delta), events)?;
+        let report = self.index.commit_apply(plan);
+        self.site.commit_apply(delta);
         Ok(report)
     }
 
@@ -356,7 +358,7 @@ impl ClusteredNetworkAwareSearch {
     }
 
     /// Apply a batch of tagging events to the live engine: the site model
-    /// updates first, then the clustered index patches its bound lists and
+    /// takes the batch, and the clustered index patches its bound lists and
     /// refinement groups in place — reclustering late-joining taggers onto
     /// their nearest existing cluster as it goes, so their next query
     /// answers from real bounds instead of the empty-with-flag semantic —
@@ -386,28 +388,30 @@ impl ClusteredNetworkAwareSearch {
         self.try_apply_with(&Exec::auto(), events)
     }
 
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. The site update and
-    /// the fallback's patch are staged on clones; the clustered index's
-    /// (itself transactional) apply runs last, and only after it succeeds
-    /// are the staged site and fallback committed.
+    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. Plan, then commit:
+    /// the site plans the batch as a delta ([`SiteModel::plan_apply`]),
+    /// the fallback and the clustered index plan against the site as the
+    /// delta will leave it, and only when all three plans stand do the
+    /// fallback, the index and last the site commit in place — nothing is
+    /// cloned, and the commits cannot fail.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
         events: &[TagEvent],
     ) -> ContentResult<ApplyReport> {
-        let mut staged_site = self.site.clone();
-        staged_site.try_apply(events)?;
-        let staged_fallback = match &self.fallback {
-            Some(exact) => {
-                let mut staged = exact.clone();
-                staged.try_apply_with(exec, &staged_site, events)?;
-                Some(staged)
-            }
-            None => None,
-        };
-        let report = self.index.try_apply_with(exec, &staged_site, events)?;
-        self.site = staged_site;
-        self.fallback = staged_fallback;
+        let delta = self.site.plan_apply(events)?;
+        let site = self.site.view_with(&delta);
+        let fallback = self
+            .fallback
+            .as_ref()
+            .map(|exact| exact.plan_apply(exec, &site, events))
+            .transpose()?;
+        let plan = self.index.plan_apply(exec, &site, events)?;
+        if let (Some(exact), Some(plan)) = (self.fallback.as_mut(), fallback) {
+            exact.commit_apply(plan);
+        }
+        let report = self.index.commit_apply(plan);
+        self.site.commit_apply(delta);
         Ok(report)
     }
 

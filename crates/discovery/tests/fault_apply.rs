@@ -9,6 +9,10 @@
 
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::{arb_events, arb_site, fixture, without_stamps, STRATEGIES};
+use proptest::prelude::*;
 use socialscope_content::{faults, BatchOptions, TagEvent};
 use socialscope_discovery::discoverer::InformationDiscoverer;
 use socialscope_discovery::recommend::{ClusteredNetworkAwareSearch, NetworkAwareSearch};
@@ -157,4 +161,61 @@ fn a_deadline_expiry_reaches_the_discoverer_as_empty_recommendations() {
         BatchOptions::new().exec(&exec).deadline(hour),
     );
     assert_eq!(served, unbounded);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Rollback of the *whole engine* under arbitrary streams: for every
+    /// registered apply site, every clustering strategy and late joiners
+    /// in the batch, a fault leaves the clustered engine (site, index,
+    /// clustering, fallback) and the exact engine `Debug`-identical to
+    /// their pre-apply state, and the disarmed retry reaches exactly the
+    /// state of engines that applied the batch fault-free.
+    #[test]
+    fn engine_faults_roll_back_for_arbitrary_streams(
+        inputs in arb_site(),
+        raw in arb_events(),
+        strategy in 0usize..3,
+        theta in 0.1f64..0.9,
+        threads in 1usize..4,
+    ) {
+        let case = fixture(&inputs, &raw, STRATEGIES[strategy], theta);
+        let exec = Exec::new(threads).unwrap();
+        let mut want_clustered = case.clustered.clone();
+        want_clustered.try_apply_with(&exec, &case.events).unwrap();
+        let mut want_exact = case.exact.clone();
+        want_exact.try_apply_with(&exec, &case.events).unwrap();
+        let want_clustered = without_stamps(format!("{want_clustered:?}"));
+        let want_exact = format!("{want_exact:?}");
+
+        let scenario = FailScenario::setup();
+        for &fp in faults::APPLY_SITES {
+            scenario.arm(fp, FailAction::Fault { after: 0 });
+            // Every registered site is on the clustered engine's path.
+            let mut clustered = case.clustered.clone();
+            let before = format!("{clustered:?}");
+            prop_assert!(clustered.try_apply_with(&exec, &case.events).is_err());
+            prop_assert_eq!(format!("{clustered:?}"), before, "fault at `{}` tore the engine", fp);
+            // The exact engine runs the site and exact sites only.
+            let mut exact = case.exact.clone();
+            let before = format!("{exact:?}");
+            let on_path = !fp.starts_with("content::clustered_apply::");
+            prop_assert_eq!(exact.try_apply_with(&exec, &case.events).is_err(), on_path);
+            if on_path {
+                prop_assert_eq!(format!("{exact:?}"), before, "fault at `{}` tore the engine", fp);
+            }
+            scenario.disarm(fp);
+            clustered.try_apply_with(&exec, &case.events).unwrap();
+            prop_assert_eq!(
+                without_stamps(format!("{clustered:?}")),
+                want_clustered.clone(),
+                "retry past `{}` diverged", fp
+            );
+            if on_path {
+                exact.try_apply_with(&exec, &case.events).unwrap();
+                prop_assert_eq!(format!("{exact:?}"), want_exact.clone(), "retry past `{}`", fp);
+            }
+        }
+    }
 }

@@ -22,7 +22,10 @@
 //! capacity, injected fault) the engine — site model, clustered index,
 //! exact fallback — is untouched and the client gets a typed `409` with
 //! the error detail. A success is visible to every query admitted after
-//! the lock releases.
+//! the lock releases. The lock is held for the apply's read-only plan and
+//! in-place commit, which cost what the batch touches — nothing is cloned
+//! or dropped wholesale — so queries stall for the batch's own work, not
+//! for a copy of the site.
 
 use crate::batcher::{Batcher, Pending, ReadyBatch, ServeOutcome};
 use crate::http::{write_response, HttpLimits, Request, RequestReader};
