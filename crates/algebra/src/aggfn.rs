@@ -18,7 +18,6 @@
 //! Example 5's "collect the set of destinations a user has visited" is
 //! expressed: a SAF over the `tgt` pseudo-attribute of `visit` links.
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{Link, Scalar, Value};
 use std::sync::Arc;
 
@@ -50,7 +49,7 @@ fn link_attr_value(link: &Link, attr: &str) -> Option<Value> {
 /// the collection (the "retain the value from any of the input links"
 /// convention of Example 5 step 6 — well defined because all links in the
 /// group carry the same value in that use).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NafExpr {
     /// A constant.
     Const(f64),

@@ -9,13 +9,12 @@
 //! per the paper, possibly of their endpoint nodes) into the attributes of
 //! the new link.
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{AttrMap, Direction, FxHashMap, Link, Node, NodeId, SocialGraph, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The directional condition `δ = (d1, d2)` of Composition and Semi-Join.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DirectionalCondition {
     /// Which endpoint of the left-hand link participates in the match.
     pub left: Direction,
@@ -78,7 +77,7 @@ pub trait ComposeFn: Send + Sync {
 }
 
 /// Which side of the composition an attribute is read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// The `G1` link.
     Left,

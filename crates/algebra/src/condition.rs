@@ -8,11 +8,10 @@
 //! supported, as used in the paper's examples (`rating ≥ 0.5`, `id ≠ 101`,
 //! `sim > 0.5`).
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{AttrMap, HasAttrs, Link, Node, Value};
 
 /// Comparison operator of a structural condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Comparison {
     /// Multi-valued superset equality (the paper's default `att = v1,…,vk`).
     Equals,
@@ -29,7 +28,7 @@ pub enum Comparison {
 }
 
 /// A single structural condition over an attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructuralCondition {
     /// Attribute name; the pseudo-attribute `id` refers to the element id.
     pub attr: String,
@@ -97,7 +96,7 @@ fn compare_f64(actual: f64, cmp: Comparison, required: f64) -> bool {
 /// * When keywords are present, the element must match at least one keyword
 ///   in its attribute text; the *degree* of the match is what the scoring
 ///   function turns into a relevance score.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Condition {
     /// Structural predicates, all of which must hold.
     pub structural: Vec<StructuralCondition>,

@@ -20,11 +20,10 @@
 //! inspected, so merging or reordering them would be unsound.
 
 use crate::plan::Plan;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What the optimizer did to a plan.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptimizationReport {
     /// Human-readable names of rules that fired, in application order.
     pub rules_applied: Vec<String>,

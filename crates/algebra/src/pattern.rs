@@ -12,14 +12,13 @@
 
 use crate::aggfn::AggregateFn;
 use crate::condition::Condition;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, Link, LinkId, NodeId, SocialGraph, Value};
 use std::sync::Arc;
 
 /// One hop of a graph pattern: traverse a link satisfying `link_condition`
 /// (forward = from the current node as source, backward = as target) and
 /// land on a node satisfying `node_condition`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatternStep {
     /// Condition the traversed link must satisfy.
     pub link_condition: Condition,
@@ -52,7 +51,7 @@ impl PatternStep {
 
 /// A linear graph pattern: a condition on the start node (`$1`) and a
 /// sequence of hops. Figure 2's pattern has two hops.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GraphPattern {
     /// Condition on the start node.
     pub start: Condition,
@@ -96,7 +95,7 @@ impl GraphPattern {
 
 /// One match of a pattern: the visited nodes (length = hops + 1) and the
 /// traversed links (length = hops).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathMatch {
     /// Visited nodes, starting with the start node.
     pub nodes: Vec<NodeId>,

@@ -1,49 +1,30 @@
 //! The SocialScope experiment harness: regenerates every table and figure of
-//! the paper's evaluation material (see `DESIGN.md` §3 and `EXPERIMENTS.md`).
+//! the paper's evaluation material and the measured sweeps behind the
+//! README's "Performance" section.
 //!
 //! ```text
-//! cargo run -p socialscope-bench --release --bin experiments -- all
-//! cargo run -p socialscope-bench --release --bin experiments -- table1
+//! cargo run -p socialscope_bench --release --bin experiments -- all
+//! cargo run -p socialscope_bench --release --bin experiments -- table1
 //! ```
 //!
-//! Subcommands: `table1`, `table2`, `fig2`, `sizing`, `clustering`,
-//! `algebra`, `presentation`, `all`, plus two measured sweeps (see the
-//! README "Performance" section):
+//! Subcommands: the paper experiments `table1`, `table2`, `fig2`, `sizing`,
+//! `clustering`, `algebra` and `presentation` (`all` runs them in turn),
+//! plus seven measured sweeps. Each sweep asserts its correctness contract
+//! on the measured workload before timing anything and emits one JSON
+//! document (the committed `BENCH_*.json` baselines):
 //!
-//! * `topk` — the E8 top-k sweep: wall time and cost counters at a fixed
-//!   seed, emitting `BENCH_topk.json`;
-//! * `batch` — the E9 batched multi-user sweep: query-log-driven keyword
-//!   sets served to user batches of size {1, 8, 32, 128}, batch call vs
-//!   per-user loop, emitting `BENCH_batch.json`;
-//! * `parallel` — the E10 thread-scaling sweep of the execution layer:
-//!   parallel index builds (asserted identical to sequential ones) and the
-//!   parallel batch engines at each requested thread count, against the
-//!   threads=1 per-user serving loop, emitting `BENCH_parallel.json`;
-//! * `update` — the E11 live-maintenance sweep: synthetic tag-event batches
-//!   (assigns + retracts) at several fractions of the site's assignment
-//!   volume, applied incrementally to both indexes versus rebuilding them
-//!   from scratch (results asserted identical before anything is timed),
-//!   emitting `BENCH_update.json`;
-//! * `robustness` — the E12 deadline-budget sweep: the E9 workload served
-//!   with and without a (never-expiring) deadline to price the cooperative
-//!   expiry checks, plus budgets at fractions of the measured unbounded
-//!   wall to chart the deadline hit-rate, with the partial-results contract
-//!   asserted before anything is timed; emits `BENCH_robustness.json`;
-//! * `serving` — the E13 serving-front sweep: an in-process
-//!   `socialscope_server` driven by the open-loop load generator at 1.5×
-//!   its measured per-request capacity, across micro-batching windows
-//!   (window 0 is the per-request baseline), reporting p50/p99/p99.9
-//!   scheduled-time latency and throughput per window, with the wire
-//!   contract (HTTP round-trip ≡ direct engine calls, transactional-apply
-//!   rollback, in-band degradation) asserted before anything is timed;
-//!   emits `BENCH_serving.json`;
-//! * `scale` — the E14 memory-scaling sweep: sites from the
-//!   [`SiteConfig::at_scale`] presets (Zipf-skewed tags, bursty per-class
-//!   query mixes) built at each requested user scale under the `Raw` and
-//!   `Compressed` posting layouts, reporting measured heap bytes/user,
-//!   build-time curves, single-query latency and batch throughput per
-//!   layout — with compressed results asserted identical to raw before
-//!   anything is timed — emitting `BENCH_scale.json`.
+//! * `topk` (E8) — top-k wall time and pruning counters per engine;
+//! * `batch` (E9) — query-log keyword sets served to user batches of
+//!   {1, 8, 32, 128}, batch call vs per-user loop;
+//! * `parallel` (E10) — parallel index builds and batch serving per
+//!   thread count;
+//! * `update` (E11) — incremental index applies vs rebuilds;
+//! * `robustness` (E12) — the cost of deadline checks and the hit-rate
+//!   of deadline budgets;
+//! * `serving` (E13) — the HTTP server under open-loop load per
+//!   micro-batching window;
+//! * `scale` (E14) — heap bytes/user, build time and query speed per
+//!   posting layout on the [`SiteConfig::at_scale`] presets.
 //!
 //! ```text
 //! cargo run -p socialscope_bench --release --bin experiments -- topk \
@@ -62,11 +43,14 @@
 //!     --scale 10000,100000 --layout both --out BENCH_scale.json
 //! ```
 //!
-//! Unknown subcommands or flags, malformed numeric values (`--threads`
-//! rejects zero and non-integers upfront; `scale`'s `--scale` list rejects
-//! zero, garbage and anything past 10^6; `--layout` rejects anything but
-//! `raw`/`compressed`/`both`) and unwritable `--out` destinations all fail
-//! fast with a non-zero exit.
+//! Every measured sweep parses its flags against one table
+//! ([`SWEEP_FLAGS`]). Unknown subcommands or flags, a flag without a value,
+//! malformed values (count flags such as `--scale`, `--reps` or `--k`
+//! reject zero and non-integers; `--threads` rejects zero; `scale`'s
+//! `--scale` list rejects zero, garbage and anything past 10^6; `--layout`
+//! rejects anything but `raw`/`compressed`/`both`) and unwritable `--out`
+//! destinations all fail fast with exit code 2; a failed read or write
+//! exits 1.
 
 use socialscope_algebra::prelude::*;
 use socialscope_bench::loadgen::{post, run_load, LoadPlan, PlannedRequest};
@@ -75,19 +59,23 @@ use socialscope_content::models::all_models;
 use socialscope_content::wire::{ApplyRequest, QueryRequest, QueryResponse};
 use socialscope_content::TagEvent;
 use socialscope_content::{
-    BatchOptions, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy, ExactIndex,
-    HybridClustering, Layout, NetworkBasedClustering, SiteModel, UserJourney,
+    BatchOptions, BatchScratch, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex,
+    ClusteringStrategy, ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel,
+    UserJourney,
 };
 use socialscope_discovery::recommend::algebra_cf::{example5_pipeline, CfConfig};
 use socialscope_discovery::ClusteredNetworkAwareSearch;
 use socialscope_discovery::{ContentAnalyzer, InformationDiscoverer, UserQuery};
+use socialscope_exec::Exec;
+use socialscope_graph::NodeId;
 use socialscope_presentation::{GroupingStrategy, InformationOrganizer};
 use socialscope_server::ServerConfig;
 use socialscope_workload::queries::expected_fraction;
 use socialscope_workload::{
     generate_events, generate_site, keywords_of, paper_sizing_example, ClassCounts,
-    EventStreamConfig, QueryClass, QueryLogConfig, QueryLogGenerator, SiteConfig,
+    EventStreamConfig, GeneratedSite, QueryClass, QueryLogConfig, QueryLogGenerator, SiteConfig,
 };
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "table1 | table2 | fig2 | sizing | clustering | algebra | presentation | \
@@ -158,7 +146,7 @@ fn main() {
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: experiments <{USAGE}> [flags]");
-    // lint: allow(exit_confined, reason = "experiments.rs is a src/bin crate root, a main.rs in all but name; exit codes are its CLI contract with run_bench.sh")
+    // lint: allow(exit_confined, reason = "experiments.rs is a src/bin crate root, a main.rs in all but name; exit codes are its CLI contract with the CI bench-smoke and serving-smoke jobs")
     std::process::exit(2);
 }
 
@@ -166,27 +154,15 @@ fn fail(msg: &str) -> ! {
 /// errors so scripts can tell a typo from a filesystem problem).
 fn fail_io(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    // lint: allow(exit_confined, reason = "experiments.rs is a src/bin crate root, a main.rs in all but name; exit codes are its CLI contract with run_bench.sh")
+    // lint: allow(exit_confined, reason = "experiments.rs is a src/bin crate root, a main.rs in all but name; exit codes are its CLI contract with the CI bench-smoke and serving-smoke jobs")
     std::process::exit(1);
 }
 
-/// Parse a numeric flag value with a clear error instead of a panic.
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| fail(&format!("{flag} takes a number, got `{value}`")))
-}
-
-/// Reject an unwritable `--out` destination up front — before minutes of
-/// sweeping — without touching the file itself: regeneration flows point
-/// `--baseline` and `--out` at the same committed path, so the file must
-/// not be truncated before the baseline has been read.
-fn validate_out_path(path: &str) {
-    if let Some(message) = out_path_error(path) {
-        fail(&message);
-    }
-}
-
-/// The testable core of [`validate_out_path`]: `Some(reason)` when the
-/// path must be rejected. An empty (or all-whitespace) path is refused
+/// Why an `--out` destination must be rejected up front — before minutes
+/// of sweeping — or `None` when it is writable. The file itself is not
+/// touched: regeneration flows point `--baseline` and `--out` at the same
+/// committed path, so it must not be truncated before the baseline has
+/// been read. An empty (or all-whitespace) path is refused
 /// explicitly — `Path::new("").parent()` is `Some("")`, which the
 /// current-directory default used to wave through, leaving a sweep to
 /// end by writing a file literally named `""`.
@@ -375,9 +351,7 @@ fn sizing() {
     println!("paper estimate : ≈ 1 terabyte");
     println!("model estimate : {:.3e} entries = {:.2} TB", est.exact_entries, est.exact_terabytes);
 
-    let site = site_at_scale(400);
-    let model = SiteModel::from_graph(&site.graph);
-    let exact = ExactIndex::build(&model);
+    let Fixture { model, exact, .. } = Fixture::at_scale(400);
     let stats = exact.stats();
     println!(
         "\nmeasured on a generated site ({} users, {} items, {} tags): {} lists, {} entries, {} bytes",
@@ -393,9 +367,7 @@ fn sizing() {
 /// E5 — clustering space/time trade-off (the ref \[5\] summary).
 fn clustering() {
     heading("E5 / §6.2 — Clustering strategies: space vs. query-time trade-off");
-    let site = site_at_scale(400);
-    let model = SiteModel::from_graph(&site.graph);
-    let exact = ExactIndex::build(&model);
+    let Fixture { site, model, exact, .. } = Fixture::at_scale(400);
     let exact_stats = exact.stats();
     let keywords = standard_keywords();
     println!(
@@ -543,6 +515,394 @@ fn presentation() {
     );
 }
 
+// ---------------------------------------------------------------------------
+// The sweep scaffold every measured sweep below stands on: one flag table,
+// one fixture, one query-log workload and one batch ≡ per-user check.
+// ---------------------------------------------------------------------------
+
+/// How a sweep flag's value parses.
+#[derive(Clone, Copy)]
+enum FlagKind {
+    /// A positive integer. Zero is refused up front: every count sizes a
+    /// workload, and a zero-sized workload times nothing.
+    Count,
+    /// The output path, checked for writability up front.
+    Out,
+    /// An input path, read when the sweep needs it.
+    Input,
+    /// A comma list of worker counts.
+    Threads,
+    /// A comma list of user scales (see [`scale_list_error`]).
+    Scales,
+    /// `raw`, `compressed` or `both`.
+    Layouts,
+}
+
+use FlagKind::{Count, Input, Layouts, Out, Scales, Threads};
+
+/// The flags of every measured sweep: the one table the parser, its usage
+/// errors and the flag tests read (see [`flag_kind`] for how each parses).
+const SWEEP_FLAGS: &[(&str, &[&str])] = &[
+    ("topk", &["--scale", "--users", "--reps", "--out", "--baseline"]),
+    ("batch", &["--scale", "--reps", "--k", "--queries", "--out"]),
+    ("parallel", &["--scale", "--reps", "--k", "--queries", "--threads", "--out"]),
+    ("update", &["--scale", "--reps", "--k", "--out"]),
+    ("robustness", &["--scale", "--reps", "--k", "--queries", "--out"]),
+    ("serving", &["--scale", "--requests", "--conns", "--slo-ms", "--k", "--out"]),
+    ("scale", &["--scale", "--layout", "--k", "--reps", "--users", "--out"]),
+];
+
+/// How `sweep`'s `flag` parses: every flag not named here is a count, and
+/// `--scale` is a count everywhere but the `scale` sweep.
+fn flag_kind(sweep: &str, flag: &str) -> FlagKind {
+    match flag {
+        "--out" => Out,
+        "--baseline" => Input,
+        "--threads" => Threads,
+        "--layout" => Layouts,
+        "--scale" if sweep == "scale" => Scales,
+        _ => Count,
+    }
+}
+
+/// One parsed flag value.
+enum FlagValue {
+    Count(usize),
+    Path(String),
+    List(Vec<usize>),
+    Layouts(Vec<Layout>),
+}
+
+/// A sweep's parsed flags (a repeated flag's last value wins); each
+/// accessor falls back to the sweep's default.
+struct Flags(Vec<(&'static str, FlagValue)>);
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&FlagValue> {
+        self.0.iter().rev().find(|(flag, _)| *flag == name).map(|(_, value)| value)
+    }
+
+    fn count(&self, name: &str, default: usize) -> usize {
+        match self.get(name) {
+            Some(FlagValue::Count(n)) => *n,
+            _ => default,
+        }
+    }
+
+    fn path(&self, name: &str) -> Option<String> {
+        match self.get(name) {
+            Some(FlagValue::Path(path)) => Some(path.clone()),
+            _ => None,
+        }
+    }
+
+    fn list(&self, name: &str, default: &[usize]) -> Vec<usize> {
+        match self.get(name) {
+            Some(FlagValue::List(values)) => values.clone(),
+            _ => default.to_vec(),
+        }
+    }
+
+    fn layouts(&self, default: &[Layout]) -> Vec<Layout> {
+        match self.get("--layout") {
+            Some(FlagValue::Layouts(layouts)) => layouts.clone(),
+            _ => default.to_vec(),
+        }
+    }
+}
+
+/// Parse `args` against `sweep`'s row of [`SWEEP_FLAGS`]: `Err(reason)` on
+/// an unknown flag, a flag without a value, or a malformed value.
+fn parse_flags(sweep: &str, args: &[String]) -> Result<Flags, String> {
+    let table = SWEEP_FLAGS
+        .iter()
+        .find(|(name, _)| *name == sweep)
+        .map(|(_, table)| *table)
+        .ok_or_else(|| format!("unknown sweep `{sweep}`"))?;
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let Some(&name) = table.iter().find(|name| **name == flag.as_str()) else {
+            return Err(format!("unknown {sweep} flag `{flag}` (expected {})", table.join("/")));
+        };
+        let value = args.next().ok_or_else(|| format!("{name} requires a value"))?;
+        flags.push((name, parse_flag_value(name, flag_kind(sweep, name), value)?));
+    }
+    Ok(Flags(flags))
+}
+
+fn parse_flag_value(name: &str, kind: FlagKind, value: &str) -> Result<FlagValue, String> {
+    match kind {
+        Count => match value.parse::<usize>() {
+            Ok(0) => Err(format!("{name} must be at least 1")),
+            Ok(n) => Ok(FlagValue::Count(n)),
+            Err(_) => Err(format!("{name} takes a number, got `{value}`")),
+        },
+        Out => match out_path_error(value) {
+            Some(reason) => Err(reason),
+            None => Ok(FlagValue::Path(value.to_string())),
+        },
+        Input => Ok(FlagValue::Path(value.to_string())),
+        // Worker counts go through the execution layer's own parser.
+        Threads => value
+            .split(',')
+            .map(|part| socialscope_exec::parse_threads(part).map_err(|e| format!("{name}: {e}")))
+            .collect::<Result<_, _>>()
+            .map(FlagValue::List),
+        Scales => scale_list_error(value).map(FlagValue::List),
+        Layouts => layout_list_error(value).map(FlagValue::Layouts),
+    }
+}
+
+/// [`parse_flags`] at a sweep's entry point: a usage error exits 2.
+fn sweep_flags(sweep: &str, args: &[String]) -> Flags {
+    parse_flags(sweep, args).unwrap_or_else(|reason| fail(&reason))
+}
+
+/// The clustering threshold of every measured clustered index.
+const THETA: f64 = 0.3;
+
+/// The clustered index the sweeps measure: network-based clustering at
+/// [`THETA`], then the index build on `exec`.
+fn clustered_index(exec: &Exec, model: &SiteModel) -> ClusteredIndex {
+    ClusteredIndex::build_with(exec, model, NetworkBasedClustering.cluster(model, THETA))
+}
+
+/// The two index engines the serving sweeps measure side by side.
+#[derive(Clone, Copy)]
+enum Engine {
+    Exact,
+    Clustered,
+}
+
+const ENGINES: [Engine; 2] = [Engine::Exact, Engine::Clustered];
+
+impl Engine {
+    /// The engine's name in the emitted documents.
+    const fn name(self) -> &'static str {
+        match self {
+            Engine::Exact => "exact_index",
+            Engine::Clustered => "clustered_index",
+        }
+    }
+}
+
+/// What every measured sweep starts from: a generated site, its model, and
+/// both indexes, built sequentially so they are the reference a parallel
+/// build must reproduce.
+struct Fixture {
+    site: GeneratedSite,
+    model: SiteModel,
+    exact: ExactIndex,
+    clustered: ClusteredIndex,
+}
+
+impl Fixture {
+    fn at_scale(scale: usize) -> Self {
+        let site = site_at_scale(scale);
+        let model = SiteModel::from_graph(&site.graph);
+        let sequential = Exec::sequential();
+        let exact = ExactIndex::build_with(&sequential, &model);
+        let clustered = clustered_index(&sequential, &model);
+        Fixture { site, model, exact, clustered }
+    }
+
+    /// One single-user query on `engine`; returns the ranking's length.
+    fn query(&self, engine: Engine, user: NodeId, keywords: &[String], k: usize) -> usize {
+        match engine {
+            Engine::Exact => self.exact.query(user, keywords, k).ranked.len(),
+            Engine::Clustered => {
+                self.clustered.query(&self.model, user, keywords, k).result.ranked.len()
+            }
+        }
+    }
+
+    /// One batch call on `engine`; returns how many members were served
+    /// before the deadline (all of them without one).
+    fn query_batch(
+        &self,
+        engine: Engine,
+        batch: &[NodeId],
+        keywords: &[String],
+        k: usize,
+        opts: BatchOptions<'_>,
+    ) -> usize {
+        match engine {
+            Engine::Exact => self
+                .exact
+                .query_batch_opts(batch, keywords, k, opts)
+                .iter()
+                .filter(|r| !r.deadline_expired)
+                .count(),
+            Engine::Clustered => self
+                .clustered
+                .query_batch_opts(&self.model, batch, keywords, k, opts)
+                .iter()
+                .filter(|r| !r.deadline_expired)
+                .count(),
+        }
+    }
+
+    /// The per-user serving loop: one single query per batch member.
+    fn serve_singles(
+        &self,
+        engine: Engine,
+        queries: &[Vec<String>],
+        batches: &[Vec<NodeId>],
+        k: usize,
+    ) {
+        for (keywords, batch) in queries.iter().zip(batches) {
+            for &user in batch {
+                black_box(self.query(engine, user, keywords, k));
+            }
+        }
+    }
+
+    /// The batched serving loop: one batch call per query, each under a
+    /// reborrow of `opts`. Returns the members served.
+    fn serve_batches(
+        &self,
+        engine: Engine,
+        queries: &[Vec<String>],
+        batches: &[Vec<NodeId>],
+        k: usize,
+        mut opts: BatchOptions<'_>,
+    ) -> usize {
+        queries
+            .iter()
+            .zip(batches)
+            .map(|(keywords, batch)| {
+                black_box(self.query_batch(engine, batch, keywords, k, opts.reborrow()))
+            })
+            .sum()
+    }
+
+    /// Batch ≡ per-user, asserted on the measured workload before anything
+    /// is timed: every member of every batch call on `exec` answers exactly
+    /// like its single query, on both engines.
+    fn assert_batches_match_singles(
+        &self,
+        exec: &Exec,
+        queries: &[Vec<String>],
+        batches: &[Vec<NodeId>],
+        k: usize,
+    ) {
+        for (keywords, batch) in queries.iter().zip(batches) {
+            let exact =
+                self.exact.query_batch_opts(batch, keywords, k, BatchOptions::new().exec(exec));
+            for (got, &user) in exact.iter().zip(batch) {
+                assert_eq!(got, &self.exact.query(user, keywords, k), "exact batch mismatch");
+            }
+            let clustered = self.clustered.query_batch_opts(
+                &self.model,
+                batch,
+                keywords,
+                k,
+                BatchOptions::new().exec(exec),
+            );
+            for (got, &user) in clustered.iter().zip(batch) {
+                assert_eq!(
+                    got,
+                    &self.clustered.query(&self.model, user, keywords, k),
+                    "clustered batch mismatch"
+                );
+            }
+        }
+    }
+}
+
+/// The query-log workload of the batch, parallel and robustness sweeps:
+/// `per_class` keyword sets for each query class (seed 7), alternating the
+/// with/without-location form where the class distinguishes them.
+fn class_workload(per_class: usize) -> Vec<(&'static str, Vec<Vec<String>>)> {
+    let mut gen = QueryLogGenerator::new(QueryLogConfig { seed: 7, ..Default::default() });
+    [
+        ("general", QueryClass::General),
+        ("categorical", QueryClass::Categorical),
+        ("specific", QueryClass::Specific),
+    ]
+    .into_iter()
+    .map(|(name, class)| {
+        let queries =
+            (0..per_class).map(|i| keywords_of(&gen.next_query_of(class, i % 2 == 0))).collect();
+        (name, queries)
+    })
+    .collect()
+}
+
+/// One batch of `size` users per query, cycling through the population so
+/// consecutive batches don't overlap.
+fn user_batches(users: &[NodeId], queries: usize, size: usize) -> Vec<Vec<NodeId>> {
+    (0..queries).map(|i| (0..size).map(|j| users[(i * size + j) % users.len()]).collect()).collect()
+}
+
+/// Time one closure: best-of-three total wall time over `reps` repetitions,
+/// to damp scheduler noise.
+fn best_of_three(reps: usize, mut run: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t = Instant::now();
+        for _ in 0..reps {
+            run();
+        }
+        best = best.min(t.elapsed().as_secs_f64() * 1e3);
+    }
+    best
+}
+
+/// Time two closures for an A/B comparison: `trials` alternating rounds of
+/// (`a`, `b`), returning the round whose b/a wall ratio is the median.
+/// Interleaving means slow machine drift (frequency scaling, background
+/// load) lands on both arms instead of biasing whichever ran second, and
+/// the median round discards scheduler-spike outliers in either direction
+/// — the discipline the E12 overhead gate needs, where the true
+/// difference is near the noise floor.
+fn interleaved_best(
+    trials: usize,
+    reps: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64) {
+    let mut rounds: Vec<(f64, f64)> = Vec::with_capacity(trials);
+    for _ in 0..trials {
+        let t = Instant::now();
+        for _ in 0..reps {
+            a();
+        }
+        let wall_a = t.elapsed().as_secs_f64() * 1e3;
+        let t = Instant::now();
+        for _ in 0..reps {
+            b();
+        }
+        rounds.push((wall_a, t.elapsed().as_secs_f64() * 1e3));
+    }
+    rounds.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
+    rounds[rounds.len() / 2]
+}
+
+/// Join rows into the body of a JSON array.
+fn json_rows<T>(rows: &[T], to_json: impl Fn(&T) -> String) -> String {
+    rows.iter().map(to_json).collect::<Vec<_>>().join(",")
+}
+
+/// Join displayable values into the body of a JSON array.
+fn json_values<T: std::fmt::Display>(values: &[T]) -> String {
+    json_rows(values, T::to_string)
+}
+
+/// Emit a JSON document to `--out` (with a clean error on failure) or to
+/// stdout when no destination was given.
+fn write_json_out(out: Option<&str>, json: &str) {
+    match out {
+        Some(path) => {
+            std::fs::write(path, json)
+                .unwrap_or_else(|e| fail_io(&format!("cannot write {path}: {e}")));
+            println!("\nwrote {path}");
+        }
+        None => println!("\n{json}"),
+    }
+}
+
 /// Pull the `wall_ms` of an engine × k row out of a run object previously
 /// emitted by this tool (the format is ours, so plain string surgery is
 /// reliable and keeps the binary free of a JSON-parser dependency).
@@ -553,8 +913,7 @@ fn extract_wall(run_json: &str, engine: &str, k: usize) -> Option<f64> {
 }
 
 /// A named top-k engine under measurement.
-type TopkEngine<'a> =
-    (&'static str, Box<dyn Fn(socialscope_graph::NodeId) -> socialscope_content::TopKResult + 'a>);
+type TopkEngine<'a> = (&'static str, Box<dyn Fn(NodeId) -> socialscope_content::TopKResult + 'a>);
 
 /// One measured engine × k configuration of the E8 sweep.
 struct TopkRow {
@@ -586,43 +945,21 @@ impl TopkRow {
 /// clustered (upper-bound) index. Emits a JSON run object; with
 /// `--baseline <file>` the prior run is embedded verbatim as `before`.
 fn topk_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut probe_users = 20usize;
-    let mut reps = 50usize;
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--users" => probe_users = parse_num("--users", value("--users")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--out" => out = Some(value("--out").clone()),
-            "--baseline" => baseline = Some(value("--baseline").clone()),
-            other => fail(&format!(
-                "unknown topk flag `{other}` (expected --scale/--users/--reps/--out/--baseline)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
+    let flags = sweep_flags("topk", args);
+    let scale = flags.count("--scale", 200);
+    let probe_users = flags.count("--users", 20);
+    let reps = flags.count("--reps", 50);
 
     heading(&format!(
         "E8 / §6.2 — Top-k sweep at scale {scale} ({probe_users} users × {reps} reps)"
     ));
-    let site = site_at_scale(scale);
-    let model = SiteModel::from_graph(&site.graph);
+    let fx = Fixture::at_scale(scale);
     let keywords = standard_keywords();
     // The sweep's wall times and counters only mean anything if the probe
     // query does real index work; an empty keyword set (possible for
     // query-log-derived keywords, see E9) would measure pure dispatch.
     assert!(!keywords.is_empty(), "E8 probe keywords must be non-empty");
-    let exact = ExactIndex::build(&model);
-    let clustered = ClusteredIndex::build(&model, NetworkBasedClustering.cluster(&model, 0.3));
-    let users: Vec<_> = site.users.iter().copied().take(probe_users).collect();
+    let users: Vec<_> = fx.site.users.iter().copied().take(probe_users).collect();
 
     // Dedup the keyword set once for the whole sweep, as a real exhaustive
     // scorer would — the per-item loop must not absorb per-query work.
@@ -633,13 +970,16 @@ fn topk_sweep(args: &[String]) {
             (
                 "exhaustive_baseline",
                 Box::new(|u| {
-                    socialscope_content::topk::top_k_exhaustive(model.items(), k, |i| {
-                        model.query_score_distinct(i, u, &distinct)
+                    socialscope_content::topk::top_k_exhaustive(fx.model.items(), k, |i| {
+                        fx.model.query_score_distinct(i, u, &distinct)
                     })
                 }),
             ),
-            ("exact_index_ta", Box::new(|u| exact.query(u, &keywords, k))),
-            ("clustered_index_ta", Box::new(|u| clustered.query(&model, u, &keywords, k).result)),
+            ("exact_index_ta", Box::new(|u| fx.exact.query(u, &keywords, k))),
+            (
+                "clustered_index_ta",
+                Box::new(|u| fx.clustered.query(&fx.model, u, &keywords, k).result),
+            ),
         ];
         for (name, run) in engines {
             let (mut sa, mut ec, mut et) = (0usize, 0usize, 0usize);
@@ -651,7 +991,7 @@ fn topk_sweep(args: &[String]) {
             }
             let best = best_of_three(reps, || {
                 for &u in &users {
-                    std::hint::black_box(run(u).ranked.len());
+                    black_box(run(u).ranked.len());
                 }
             });
             println!(
@@ -671,10 +1011,10 @@ fn topk_sweep(args: &[String]) {
     let run_json = format!(
         "{{\"experiment\":\"E8_topk_sweep\",\"seed\":7,\"scale\":{scale},\"probe_users\":{},\"repetitions\":{reps},\"keywords\":[{}],\"engines\":[{}]}}",
         users.len(),
-        keywords.iter().map(|k| format!("\"{k}\"")).collect::<Vec<_>>().join(","),
-        rows.iter().map(TopkRow::to_json).collect::<Vec<_>>().join(",")
+        json_rows(&keywords, |k| format!("\"{k}\"")),
+        json_rows(&rows, TopkRow::to_json)
     );
-    let before = match baseline {
+    let before = match flags.path("--baseline") {
         Some(path) => {
             let doc = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| fail_io(&format!("cannot read baseline {path}: {e}")));
@@ -722,20 +1062,7 @@ fn topk_sweep(args: &[String]) {
         format!("{{{}}}", parts.join(","))
     };
     let json = format!("{{\"before\":{before},\"after\":{run_json},\"speedup\":{speedup}}}\n");
-    write_json_out(out.as_deref(), &json);
-}
-
-/// Emit a JSON document to `--out` (with a clean error on failure) or to
-/// stdout when no destination was given.
-fn write_json_out(out: Option<&str>, json: &str) {
-    match out {
-        Some(path) => {
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| fail_io(&format!("cannot write {path}: {e}")));
-            println!("\nwrote {path}");
-        }
-        None => println!("\n{json}"),
-    }
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 /// One measured engine × query-class × batch-size configuration of E9.
@@ -770,50 +1097,6 @@ impl BatchRow {
 /// The batch sizes every E9 combination sweeps.
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
 
-/// Time one closure: best-of-three total wall time over `reps` repetitions,
-/// to damp scheduler noise (same discipline as the E8 sweep).
-fn best_of_three(reps: usize, mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            run();
-        }
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// Time two closures for an A/B comparison: `trials` alternating rounds of
-/// (`a`, `b`), returning the round whose b/a wall ratio is the median.
-/// Interleaving means slow machine drift (frequency scaling, background
-/// load) lands on both arms instead of biasing whichever ran second, and
-/// the median round discards scheduler-spike outliers in either direction
-/// — the discipline the E12 overhead gate needs, where the true
-/// difference is near the noise floor.
-fn interleaved_best(
-    trials: usize,
-    reps: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64) {
-    let mut rounds: Vec<(f64, f64)> = Vec::with_capacity(trials);
-    for _ in 0..trials {
-        let t = Instant::now();
-        for _ in 0..reps {
-            a();
-        }
-        let wall_a = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        for _ in 0..reps {
-            b();
-        }
-        rounds.push((wall_a, t.elapsed().as_secs_f64() * 1e3));
-    }
-    rounds.sort_by(|x, y| (x.1 / x.0).total_cmp(&(y.1 / y.0)));
-    rounds[rounds.len() / 2]
-}
-
 /// E9 — batched multi-user query sweep, driven by the query log: for each
 /// query class (general / categorical / specific) and each batch size in
 /// {1, 8, 32, 128}, the same keyword sets are served to user batches two
@@ -825,54 +1108,17 @@ fn interleaved_best(
 /// empty results, so their share contextualizes the class's speedup).
 /// Emits a JSON run object (`BENCH_batch.json` when `--out` points there).
 fn batch_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut reps = 30usize;
-    let mut k = 10usize;
-    let mut queries_per_class = 16usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--queries" => queries_per_class = parse_num("--queries", value("--queries")),
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown batch flag `{other}` (expected --scale/--reps/--k/--queries/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
+    let flags = sweep_flags("batch", args);
+    let scale = flags.count("--scale", 200);
+    let reps = flags.count("--reps", 30);
+    let k = flags.count("--k", 10);
+    let queries_per_class = flags.count("--queries", 16);
 
     heading(&format!(
         "E9 / batched multi-user queries at scale {scale} (k={k}, {queries_per_class} queries/class × {reps} reps)"
     ));
-    let site = site_at_scale(scale);
-    let model = SiteModel::from_graph(&site.graph);
-    let exact = ExactIndex::build(&model);
-    let clustered = ClusteredIndex::build(&model, NetworkBasedClustering.cluster(&model, 0.3));
-
-    // Query-log-driven keyword sets, a fixed number per class (alternating
-    // the with/without-location form where the class distinguishes them).
-    let mut gen = QueryLogGenerator::new(QueryLogConfig { seed: 7, ..Default::default() });
-    let classes: Vec<(&'static str, Vec<Vec<String>>)> = [
-        ("general", QueryClass::General),
-        ("categorical", QueryClass::Categorical),
-        ("specific", QueryClass::Specific),
-    ]
-    .into_iter()
-    .map(|(name, class)| {
-        let queries: Vec<Vec<String>> = (0..queries_per_class)
-            .map(|i| keywords_of(&gen.next_query_of(class, i % 2 == 0)))
-            .collect();
-        (name, queries)
-    })
-    .collect();
+    let fx = Fixture::at_scale(scale);
+    let classes = class_workload(queries_per_class);
 
     // Query-log text can tokenize to an *empty* keyword set (all-stopword
     // queries — common in the general and specific classes). The engines
@@ -897,101 +1143,24 @@ fn batch_sweep(args: &[String]) {
     );
     for (class, queries) in &classes {
         for &batch_size in &BATCH_SIZES {
-            // Each query serves one batch of users, cycling through the
-            // site's population so consecutive batches don't overlap.
-            let batches: Vec<Vec<socialscope_graph::NodeId>> = (0..queries.len())
-                .map(|i| {
-                    (0..batch_size)
-                        .map(|j| site.users[(i * batch_size + j) % site.users.len()])
-                        .collect()
-                })
-                .collect();
-            let user_queries = queries.len() * batch_size;
-
-            // Sanity: the batch path must be element-wise identical to the
-            // per-user loop before its wall time means anything.
-            for (keywords, batch) in queries.iter().zip(&batches) {
-                let from_batch = exact.query_batch_opts(batch, keywords, k, BatchOptions::new());
-                for (got, &u) in from_batch.iter().zip(batch.iter()) {
-                    assert_eq!(got, &exact.query(u, keywords, k), "exact batch mismatch");
-                }
-                let from_batch =
-                    clustered.query_batch_opts(&model, batch, keywords, k, BatchOptions::new());
-                for (got, &u) in from_batch.iter().zip(batch.iter()) {
-                    assert_eq!(
-                        got,
-                        &clustered.query(&model, u, keywords, k),
-                        "clustered batch mismatch"
-                    );
-                }
-            }
-
-            let wall_ms_loop = best_of_three(reps, || {
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    for &u in batch {
-                        std::hint::black_box(exact.query(u, keywords, k).ranked.len());
-                    }
-                }
-            });
-            let mut scratch = socialscope_content::BatchScratch::default();
-            let wall_ms_batch = best_of_three(reps, || {
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        exact
-                            .query_batch_opts(
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(&mut scratch),
-                            )
-                            .len(),
-                    );
-                }
-            });
-            rows.push(BatchRow {
-                engine: "exact_index",
-                class,
-                batch_size,
-                user_queries,
-                wall_ms_loop,
-                wall_ms_batch,
-            });
-
-            let wall_ms_loop = best_of_three(reps, || {
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    for &u in batch {
-                        std::hint::black_box(
-                            clustered.query(&model, u, keywords, k).result.ranked.len(),
-                        );
-                    }
-                }
-            });
-            let mut scratch = socialscope_content::BatchScratch::default();
-            let wall_ms_batch = best_of_three(reps, || {
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        clustered
-                            .query_batch_opts(
-                                &model,
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(&mut scratch),
-                            )
-                            .len(),
-                    );
-                }
-            });
-            rows.push(BatchRow {
-                engine: "clustered_index",
-                class,
-                batch_size,
-                user_queries,
-                wall_ms_loop,
-                wall_ms_batch,
-            });
-
-            for row in rows.iter().rev().take(2).rev() {
+            let batches = user_batches(&fx.site.users, queries.len(), batch_size);
+            fx.assert_batches_match_singles(&Exec::auto(), queries, &batches, k);
+            for engine in ENGINES {
+                let wall_ms_loop =
+                    best_of_three(reps, || fx.serve_singles(engine, queries, &batches, k));
+                let mut scratch = BatchScratch::default();
+                let wall_ms_batch = best_of_three(reps, || {
+                    let opts = BatchOptions::new().scratch(&mut scratch);
+                    fx.serve_batches(engine, queries, &batches, k, opts);
+                });
+                let row = BatchRow {
+                    engine: engine.name(),
+                    class,
+                    batch_size,
+                    user_queries: queries.len() * batch_size,
+                    wall_ms_loop,
+                    wall_ms_batch,
+                };
                 println!(
                     "{:<16} {:<12} {:>6} {:>9} {:>14.3} {:>15.3} {:>8.2}x",
                     row.engine,
@@ -1002,6 +1171,7 @@ fn batch_sweep(args: &[String]) {
                     row.wall_ms_batch,
                     row.speedup()
                 );
+                rows.push(row);
             }
         }
     }
@@ -1010,7 +1180,7 @@ fn batch_sweep(args: &[String]) {
     // engine × batch size — the headline is the exact index at batch 32.
     let mut aggregate = Vec::new();
     let mut headline = 0.0f64;
-    for engine in ["exact_index", "clustered_index"] {
+    for engine in ENGINES.map(Engine::name) {
         for &batch_size in &BATCH_SIZES {
             let (mut lp, mut bt) = (0.0f64, 0.0f64);
             for row in rows.iter().filter(|r| r.engine == engine && r.batch_size == batch_size) {
@@ -1030,19 +1200,16 @@ fn batch_sweep(args: &[String]) {
         "\nheadline: exact_index batch-32 aggregate speedup {headline:.2}x over the per-user loop"
     );
 
-    let class_names: Vec<String> = classes.iter().map(|(name, _)| format!("\"{name}\"")).collect();
-    let empty_json: Vec<String> =
-        empty_counts.iter().map(|(name, count)| format!("\"{name}\":{count}")).collect();
     let json = format!(
         "{{\"experiment\":\"E9_batch_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"queries_per_class\":{queries_per_class},\"repetitions\":{reps},\"site_users\":{},\"classes\":[{}],\"empty_keyword_queries\":{{{}}},\"batch_sizes\":[{}],\"rows\":[{}],\"aggregate\":[{}],\"headline\":{{\"engine\":\"exact_index\",\"batch_size\":32,\"speedup\":{headline:.2}}}}}\n",
-        site.users.len(),
-        class_names.join(","),
-        empty_json.join(","),
-        BATCH_SIZES.map(|b| b.to_string()).join(","),
-        rows.iter().map(BatchRow::to_json).collect::<Vec<_>>().join(","),
+        fx.site.users.len(),
+        json_rows(&classes, |(name, _)| format!("\"{name}\"")),
+        json_rows(&empty_counts, |(name, count)| format!("\"{name}\":{count}")),
+        json_values(&BATCH_SIZES),
+        json_rows(&rows, BatchRow::to_json),
         aggregate.join(",")
     );
-    write_json_out(out.as_deref(), &json);
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 /// The batch sizes the E10 thread-scaling sweep serves: the CI-gated
@@ -1096,84 +1263,43 @@ impl ParallelRow {
 /// `available_parallelism` records how many cores that was. Emits a JSON
 /// run object (`BENCH_parallel.json` when `--out` points there).
 fn parallel_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut reps = 10usize;
-    let mut k = 10usize;
-    let mut queries_per_class = 8usize;
-    let mut threads_list: Vec<usize> = vec![1, 2, 4];
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--queries" => queries_per_class = parse_num("--queries", value("--queries")),
-            "--threads" => {
-                // Worker counts go through the execution layer's own
-                // parser: zero and non-integers are rejected upfront, like
-                // every other malformed flag value.
-                threads_list = value("--threads")
-                    .split(',')
-                    .map(|part| {
-                        socialscope_exec::parse_threads(part)
-                            .unwrap_or_else(|e| fail(&format!("--threads: {e}")))
-                    })
-                    .collect();
-                if threads_list.is_empty() {
-                    fail("--threads needs at least one worker count");
-                }
-            }
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown parallel flag `{other}` (expected --scale/--reps/--k/--queries/--threads/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
+    let flags = sweep_flags("parallel", args);
+    let scale = flags.count("--scale", 200);
+    let reps = flags.count("--reps", 10);
+    let k = flags.count("--k", 10);
+    let queries_per_class = flags.count("--queries", 8);
+    let threads_list = flags.list("--threads", &[1, 2, 4]);
+    let execs: Vec<(usize, Exec)> = threads_list
+        .iter()
+        .map(|&threads| {
+            let exec = Exec::new(threads).unwrap_or_else(|e| fail(&format!("--threads: {e}")));
+            (threads, exec)
+        })
+        .collect();
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     heading(&format!(
         "E10 / parallel execution layer at scale {scale} (k={k}, threads {threads_list:?}, {cores} core(s) available)"
     ));
-    let site = site_at_scale(scale);
-    let model = SiteModel::from_graph(&site.graph);
+    let fx = Fixture::at_scale(scale);
 
     // Build layer: wall time per thread count, with the determinism
-    // contract asserted against the sequential build.
-    let sequential = socialscope_exec::Exec::sequential();
-    let exact = ExactIndex::build_with(&sequential, &model);
-    let clustered = ClusteredIndex::build_with(
-        &sequential,
-        &model,
-        NetworkBasedClustering.cluster(&model, 0.3),
-    );
+    // contract asserted against the fixture's sequential build.
     let mut build_rows: Vec<String> = Vec::new();
     println!("{:<10} {:>8} {:>16} {:>16}", "build", "threads", "exact (ms)", "clustered (ms)");
-    for &threads in &threads_list {
-        let exec = socialscope_exec::Exec::new(threads)
-            .unwrap_or_else(|e| fail(&format!("--threads: {e}")));
-        let parallel_exact = ExactIndex::build_with(&exec, &model);
-        assert_eq!(parallel_exact.stats(), exact.stats(), "parallel exact build diverged");
-        let clustering = NetworkBasedClustering.cluster(&model, 0.3);
-        let parallel_clustered = ClusteredIndex::build_with(&exec, &model, clustering);
+    for (threads, exec) in &execs {
+        let parallel_exact = ExactIndex::build_with(exec, &fx.model);
+        assert_eq!(parallel_exact.stats(), fx.exact.stats(), "parallel exact build diverged");
         assert_eq!(
-            parallel_clustered.stats_with_refinement(),
-            clustered.stats_with_refinement(),
+            clustered_index(exec, &fx.model).stats_with_refinement(),
+            fx.clustered.stats_with_refinement(),
             "parallel clustered build diverged"
         );
         let exact_ms = best_of_three(1, || {
-            std::hint::black_box(ExactIndex::build_with(&exec, &model).stats().entries);
+            black_box(ExactIndex::build_with(exec, &fx.model).stats().entries);
         });
         let clustered_ms = best_of_three(1, || {
-            let clustering = NetworkBasedClustering.cluster(&model, 0.3);
-            std::hint::black_box(
-                ClusteredIndex::build_with(&exec, &model, clustering).stats().entries,
-            );
+            black_box(clustered_index(exec, &fx.model).stats().entries);
         });
         println!("{:<10} {:>8} {:>16.3} {:>16.3}", "", threads, exact_ms, clustered_ms);
         build_rows.push(format!(
@@ -1184,143 +1310,41 @@ fn parallel_sweep(args: &[String]) {
         ));
     }
 
-    // Serving layer: the E9 query-log workload (three classes), aggregated
-    // per engine × thread count × batch size.
-    let mut gen = QueryLogGenerator::new(QueryLogConfig { seed: 7, ..Default::default() });
-    let classes: Vec<(&'static str, Vec<Vec<String>>)> = [
-        ("general", QueryClass::General),
-        ("categorical", QueryClass::Categorical),
-        ("specific", QueryClass::Specific),
-    ]
-    .into_iter()
-    .map(|(name, class)| {
-        let queries: Vec<Vec<String>> = (0..queries_per_class)
-            .map(|i| keywords_of(&gen.next_query_of(class, i % 2 == 0)))
-            .collect();
-        (name, queries)
-    })
-    .collect();
-
+    // Serving layer: the E9 query-log workload, all three classes in one
+    // pass (each class's batches start at the same users, as in E9),
+    // aggregated per engine × thread count × batch size.
+    let queries: Vec<Vec<String>> =
+        class_workload(queries_per_class).into_iter().flat_map(|(_, queries)| queries).collect();
     let mut rows: Vec<ParallelRow> = Vec::new();
     println!(
         "\n{:<16} {:>8} {:>6} {:>14} {:>15} {:>9}",
         "engine", "threads", "batch", "loop (ms)", "batch (ms)", "vs loop"
     );
     for &batch_size in &PARALLEL_BATCH_SIZES {
-        let batches: Vec<Vec<Vec<socialscope_graph::NodeId>>> = classes
+        let batches: Vec<Vec<NodeId>> = user_batches(&fx.site.users, queries_per_class, batch_size)
             .iter()
-            .map(|(_, queries)| {
-                (0..queries.len())
-                    .map(|i| {
-                        (0..batch_size)
-                            .map(|j| site.users[(i * batch_size + j) % site.users.len()])
-                            .collect()
-                    })
-                    .collect()
-            })
+            .cycle()
+            .take(queries.len())
+            .cloned()
             .collect();
-
         // Per-user loop baselines (threads=1 serving, once per engine).
-        let exact_loop = best_of_three(reps, || {
-            for ((_, queries), class_batches) in classes.iter().zip(&batches) {
-                for (keywords, batch) in queries.iter().zip(class_batches) {
-                    for &u in batch {
-                        std::hint::black_box(exact.query(u, keywords, k).ranked.len());
-                    }
-                }
-            }
-        });
-        let clustered_loop = best_of_three(reps, || {
-            for ((_, queries), class_batches) in classes.iter().zip(&batches) {
-                for (keywords, batch) in queries.iter().zip(class_batches) {
-                    for &u in batch {
-                        std::hint::black_box(
-                            clustered.query(&model, u, keywords, k).result.ranked.len(),
-                        );
-                    }
-                }
-            }
-        });
-
-        for &threads in &threads_list {
-            let exec = socialscope_exec::Exec::new(threads)
-                .unwrap_or_else(|e| fail(&format!("--threads: {e}")));
-            // The determinism contract, checked on the measured workload
-            // before anything is timed.
-            for ((_, queries), class_batches) in classes.iter().zip(&batches) {
-                for (keywords, batch) in queries.iter().zip(class_batches) {
-                    let par =
-                        exact.query_batch_opts(batch, keywords, k, BatchOptions::new().exec(&exec));
-                    for (got, &u) in par.iter().zip(batch) {
-                        assert_eq!(got, &exact.query(u, keywords, k), "exact parallel mismatch");
-                    }
-                    let par = clustered.query_batch_opts(
-                        &model,
-                        batch,
-                        keywords,
-                        k,
-                        BatchOptions::new().exec(&exec),
-                    );
-                    for (got, &u) in par.iter().zip(batch) {
-                        assert_eq!(
-                            got,
-                            &clustered.query(&model, u, keywords, k),
-                            "clustered parallel mismatch"
-                        );
-                    }
-                }
-            }
-
-            let mut pool = socialscope_content::BatchScratchPool::default();
-            let exact_batch = best_of_three(reps, || {
-                for ((_, queries), class_batches) in classes.iter().zip(&batches) {
-                    for (keywords, batch) in queries.iter().zip(class_batches) {
-                        std::hint::black_box(
-                            exact
-                                .query_batch_opts(
-                                    batch,
-                                    keywords,
-                                    k,
-                                    BatchOptions::new().exec(&exec).scratch_pool(&mut pool),
-                                )
-                                .len(),
-                        );
-                    }
-                }
-            });
-            let mut pool = socialscope_content::BatchScratchPool::default();
-            let clustered_batch = best_of_three(reps, || {
-                for ((_, queries), class_batches) in classes.iter().zip(&batches) {
-                    for (keywords, batch) in queries.iter().zip(class_batches) {
-                        std::hint::black_box(
-                            clustered
-                                .query_batch_opts(
-                                    &model,
-                                    batch,
-                                    keywords,
-                                    k,
-                                    BatchOptions::new().exec(&exec).scratch_pool(&mut pool),
-                                )
-                                .len(),
-                        );
-                    }
-                }
-            });
-            rows.push(ParallelRow {
-                engine: "exact_index",
-                threads,
-                batch_size,
-                wall_ms_loop: exact_loop,
-                wall_ms_batch: exact_batch,
-            });
-            rows.push(ParallelRow {
-                engine: "clustered_index",
-                threads,
-                batch_size,
-                wall_ms_loop: clustered_loop,
-                wall_ms_batch: clustered_batch,
-            });
-            for row in rows.iter().rev().take(2).rev() {
+        let loops = ENGINES
+            .map(|engine| best_of_three(reps, || fx.serve_singles(engine, &queries, &batches, k)));
+        for (threads, exec) in &execs {
+            fx.assert_batches_match_singles(exec, &queries, &batches, k);
+            for (engine, wall_ms_loop) in ENGINES.into_iter().zip(loops) {
+                let mut pool = BatchScratchPool::default();
+                let wall_ms_batch = best_of_three(reps, || {
+                    let opts = BatchOptions::new().exec(exec).scratch_pool(&mut pool);
+                    fx.serve_batches(engine, &queries, &batches, k, opts);
+                });
+                let row = ParallelRow {
+                    engine: engine.name(),
+                    threads: *threads,
+                    batch_size,
+                    wall_ms_loop,
+                    wall_ms_batch,
+                };
                 println!(
                     "{:<16} {:>8} {:>6} {:>14.3} {:>15.3} {:>8.2}x",
                     row.engine,
@@ -1330,6 +1354,7 @@ fn parallel_sweep(args: &[String]) {
                     row.wall_ms_batch,
                     row.speedup_vs_loop()
                 );
+                rows.push(row);
             }
         }
     }
@@ -1348,13 +1373,13 @@ fn parallel_sweep(args: &[String]) {
 
     let json = format!(
         "{{\"experiment\":\"E10_parallel_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"queries_per_class\":{queries_per_class},\"repetitions\":{reps},\"site_users\":{},\"available_parallelism\":{cores},\"threads\":[{}],\"batch_sizes\":[{}],\"build\":[{}],\"rows\":[{}],\"headline\":{{\"engine\":\"exact_index\",\"batch_size\":32,\"threads\":{head_threads},\"speedup_vs_loop\":{headline:.2}}}}}\n",
-        site.users.len(),
-        threads_list.iter().map(usize::to_string).collect::<Vec<_>>().join(","),
-        PARALLEL_BATCH_SIZES.map(|b| b.to_string()).join(","),
+        fx.site.users.len(),
+        json_values(&threads_list),
+        json_values(&PARALLEL_BATCH_SIZES),
         build_rows.join(","),
-        rows.iter().map(ParallelRow::to_json).collect::<Vec<_>>().join(",")
+        json_rows(&rows, ParallelRow::to_json)
     );
-    write_json_out(out.as_deref(), &json);
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 /// The event-batch sizes E11 sweeps, as fractions of the site's tag
@@ -1390,6 +1415,153 @@ impl UpdateRow {
             self.speedup()
         )
     }
+}
+
+/// E11 — live index maintenance: for each event-batch size in
+/// [`UPDATE_FRACTIONS`] (fractions of the site's assignment volume), a
+/// deterministic tag-event stream (Zipf-skewed assigns mixed with retracts
+/// of live assignments) is absorbed two ways — `*Index::apply` patching
+/// pre-cloned indexes in place, versus rebuilding the index from scratch.
+/// Both strategies start from the already-updated site model (the
+/// `SiteModel::apply` cost is common to both, so it stays outside the
+/// timed region), and the wall-time ratio is the measured maintenance
+/// gain. Before anything is timed, the
+/// maintained index is asserted identical to the rebuilt one (stats plus a
+/// standard-keyword query sweep over the whole population): the
+/// delta ≡ rebuild contract is checked on the measured workload itself.
+/// Emits a JSON run object (`BENCH_update.json` when `--out` points there).
+fn update_sweep(args: &[String]) {
+    let flags = sweep_flags("update", args);
+    let scale = flags.count("--scale", 200);
+    let reps = flags.count("--reps", 10);
+    let k = flags.count("--k", 10);
+
+    heading(&format!("E11 / live index maintenance at scale {scale} (k={k}, {reps} reps)"));
+    let fx = Fixture::at_scale(scale);
+    let assignments: usize = fx.model.tag_assignments().map(|(_, _, taggers)| taggers.len()).sum();
+    let keywords = standard_keywords();
+    let auto = Exec::auto();
+
+    let mut rows: Vec<UpdateRow> = Vec::new();
+    println!("{assignments} tag assignments on site");
+    println!(
+        "{:<16} {:>9} {:>8} {:>9} {:>13} {:>14} {:>9}",
+        "index", "fraction", "events", "changed", "apply (ms)", "rebuild (ms)", "speedup"
+    );
+    for &fraction in &UPDATE_FRACTIONS {
+        let wanted = ((assignments as f64) * fraction).round().max(1.0) as usize;
+        let events = generate_events(
+            &fx.model,
+            &EventStreamConfig {
+                events: wanted,
+                retract_fraction: 0.3,
+                seed: 7,
+                ..Default::default()
+            },
+        );
+        let mut updated = fx.model.clone();
+        let effective = updated.apply(&events);
+        assert!(effective > 0, "event stream must touch the site");
+
+        // Delta ≡ rebuild, asserted on the measured workload before any
+        // timing: stats plus a full-population query sweep per index.
+        let mut maintained_exact = fx.exact.clone();
+        let exact_report = maintained_exact.apply(&updated, &events);
+        let rebuilt_exact = ExactIndex::build_with(&auto, &updated);
+        assert_eq!(maintained_exact.stats(), rebuilt_exact.stats(), "exact delta diverged");
+        let mut maintained_clustered = fx.clustered.clone();
+        let clustered_report = maintained_clustered.apply(&updated, &events);
+        let rebuilt_clustered = clustered_index(&auto, &updated);
+        assert_eq!(
+            maintained_clustered.stats_with_refinement(),
+            rebuilt_clustered.stats_with_refinement(),
+            "clustered delta diverged"
+        );
+        for &u in &fx.site.users {
+            assert_eq!(
+                maintained_exact.query(u, &keywords, k),
+                rebuilt_exact.query(u, &keywords, k),
+                "exact delta query diverged"
+            );
+            assert_eq!(
+                maintained_clustered.query(&updated, u, &keywords, k),
+                rebuilt_clustered.query(&updated, u, &keywords, k),
+                "clustered delta query diverged"
+            );
+        }
+
+        // Both maintenance strategies start from the already-updated site
+        // model (rebuilding an index needs it just as much as patching
+        // one), so the timed region is the *index* work only. The apply
+        // mutates, so each timed run consumes a pre-built index clone;
+        // best-of-three over `reps` runs needs 3 × reps of them.
+        let mut exact_pool: Vec<ExactIndex> = (0..3 * reps).map(|_| fx.exact.clone()).collect();
+        let wall_ms_apply = best_of_three(reps, || {
+            let mut ix = exact_pool.pop().expect("clone pool sized to 3 × reps");
+            black_box(ix.apply(&updated, &events).changed_entries);
+        });
+        let wall_ms_rebuild = best_of_three(reps, || {
+            black_box(ExactIndex::build_with(&auto, &updated).stats().entries);
+        });
+        rows.push(UpdateRow {
+            index: "exact",
+            fraction,
+            events: events.len(),
+            changed_entries: exact_report.changed_entries,
+            wall_ms_apply,
+            wall_ms_rebuild,
+        });
+
+        let mut clustered_pool: Vec<ClusteredIndex> =
+            (0..3 * reps).map(|_| fx.clustered.clone()).collect();
+        let wall_ms_apply = best_of_three(reps, || {
+            let mut ix = clustered_pool.pop().expect("clone pool sized to 3 × reps");
+            black_box(ix.apply(&updated, &events).changed_entries);
+        });
+        let wall_ms_rebuild = best_of_three(reps, || {
+            black_box(clustered_index(&auto, &updated).stats().entries);
+        });
+        rows.push(UpdateRow {
+            index: "clustered",
+            fraction,
+            events: events.len(),
+            changed_entries: clustered_report.changed_entries,
+            wall_ms_apply,
+            wall_ms_rebuild,
+        });
+
+        for row in &rows[rows.len() - 2..] {
+            println!(
+                "{:<16} {:>9} {:>8} {:>9} {:>13.3} {:>14.3} {:>8.2}x",
+                row.index,
+                row.fraction,
+                row.events,
+                row.changed_entries,
+                row.wall_ms_apply,
+                row.wall_ms_rebuild,
+                row.speedup()
+            );
+        }
+    }
+
+    // Headline: the exact index at the 1% event batch — the steady-state
+    // maintenance unit the README quotes and CI gates.
+    let headline = rows
+        .iter()
+        .find(|r| r.index == "exact" && r.fraction == 0.01)
+        .map(UpdateRow::speedup)
+        .unwrap_or(0.0);
+    println!(
+        "\nheadline: exact index applies a 1% event batch {headline:.2}x faster than a rebuild"
+    );
+
+    let json = format!(
+        "{{\"experiment\":\"E11_update_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"repetitions\":{reps},\"site_users\":{},\"tag_assignments\":{assignments},\"retract_fraction\":0.3,\"fractions\":[{}],\"rows\":[{}],\"headline\":{{\"index\":\"exact\",\"fraction\":0.01,\"speedup\":{headline:.2}}}}}\n",
+        fx.site.users.len(),
+        json_values(&UPDATE_FRACTIONS),
+        json_rows(&rows, UpdateRow::to_json)
+    );
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 /// The deadline budgets E12 charts, as fractions of the measured
@@ -1464,61 +1636,28 @@ impl RobustnessHitRow {
 /// for the record, not gated). Emits a JSON run object
 /// (`BENCH_robustness.json` when `--out` points there).
 fn robustness_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut reps = 30usize;
-    let mut k = 10usize;
-    let mut queries_per_class = 16usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--queries" => queries_per_class = parse_num("--queries", value("--queries")),
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown robustness flag `{other}` (expected --scale/--reps/--k/--queries/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
+    let flags = sweep_flags("robustness", args);
+    let scale = flags.count("--scale", 200);
+    let reps = flags.count("--reps", 30);
+    let k = flags.count("--k", 10);
+    let queries_per_class = flags.count("--queries", 16);
 
     const BATCH_SIZE: usize = 32;
     heading(&format!(
         "E12 / deadline budgets at scale {scale} (k={k}, batch {BATCH_SIZE}, {queries_per_class} queries/class × {reps} reps)"
     ));
-    let site = site_at_scale(scale);
-    let model = SiteModel::from_graph(&site.graph);
-    let exact = ExactIndex::build(&model);
-    let clustered = ClusteredIndex::build(&model, NetworkBasedClustering.cluster(&model, 0.3));
-
-    let mut gen = QueryLogGenerator::new(QueryLogConfig { seed: 7, ..Default::default() });
+    let fx = Fixture::at_scale(scale);
+    let (exact, clustered, model) = (&fx.exact, &fx.clustered, &fx.model);
     let queries: Vec<Vec<String>> =
-        [QueryClass::General, QueryClass::Categorical, QueryClass::Specific]
-            .into_iter()
-            .flat_map(|class| {
-                (0..queries_per_class)
-                    .map(|i| keywords_of(&gen.next_query_of(class, i % 2 == 0)))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-    let batches: Vec<Vec<socialscope_graph::NodeId>> = (0..queries.len())
-        .map(|i| {
-            (0..BATCH_SIZE).map(|j| site.users[(i * BATCH_SIZE + j) % site.users.len()]).collect()
-        })
-        .collect();
+        class_workload(queries_per_class).into_iter().flat_map(|(_, queries)| queries).collect();
+    let batches = user_batches(&fx.site.users, queries.len(), BATCH_SIZE);
     let members = queries.len() * BATCH_SIZE;
 
     // The partial-results contract, asserted on the measured workload
     // before anything is timed. `hour` can never expire mid-workload;
     // `zero` is expired before the first check.
-    let hour = std::time::Duration::from_secs(3600);
-    let zero = std::time::Duration::ZERO;
+    let hour = Duration::from_secs(3600);
+    let zero = Duration::ZERO;
     for (keywords, batch) in queries.iter().zip(&batches) {
         let unbounded = exact.query_batch_opts(batch, keywords, k, BatchOptions::new());
         let generous =
@@ -1543,7 +1682,7 @@ fn robustness_sweep(args: &[String]) {
             batch,
             keywords,
             k,
-            BatchOptions::new().deadline(std::time::Duration::from_micros(50)),
+            BatchOptions::new().deadline(Duration::from_micros(50)),
         );
         for (got, want) in partial.iter().zip(&unbounded) {
             assert!(
@@ -1552,9 +1691,9 @@ fn robustness_sweep(args: &[String]) {
             );
         }
 
-        let unbounded = clustered.query_batch_opts(&model, batch, keywords, k, BatchOptions::new());
+        let unbounded = clustered.query_batch_opts(model, batch, keywords, k, BatchOptions::new());
         let generous = clustered.query_batch_opts(
-            &model,
+            model,
             batch,
             keywords,
             k,
@@ -1562,7 +1701,7 @@ fn robustness_sweep(args: &[String]) {
         );
         assert_eq!(generous, unbounded, "a generous budget must be invisible (clustered)");
         let starved = clustered.query_batch_opts(
-            &model,
+            model,
             batch,
             keywords,
             k,
@@ -1581,100 +1720,27 @@ fn robustness_sweep(args: &[String]) {
     // Overhead of the cooperative checks: identical serving loops, scratch
     // reuse and all, differing only in whether a (never-expiring) deadline
     // rides along. This is the committed, CI-gated number.
-    let mut overhead_rows: Vec<RobustnessOverheadRow> = Vec::new();
     println!(
         "{:<16} {:>16} {:>15} {:>10}",
         "engine", "unbounded (ms)", "deadline (ms)", "overhead"
     );
-    {
+    let overhead_rows = ENGINES.map(|engine| {
         // One shared scratch for both arms: separate arenas would let
         // allocation luck (cache aliasing decided at startup) bias an
         // entire run toward one arm.
-        let scratch = std::cell::RefCell::new(socialscope_content::BatchScratch::default());
+        let scratch = std::cell::RefCell::new(BatchScratch::default());
+        let serve = |opts: BatchOptions<'_>| {
+            let scratch = &mut *scratch.borrow_mut();
+            fx.serve_batches(engine, &queries, &batches, k, opts.scratch(scratch));
+        };
         let (wall_ms_unbounded, wall_ms_deadline) = interleaved_best(
             15,
             reps,
-            || {
-                let scratch = &mut *scratch.borrow_mut();
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        exact
-                            .query_batch_opts(
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(scratch),
-                            )
-                            .len(),
-                    );
-                }
-            },
-            || {
-                let scratch = &mut *scratch.borrow_mut();
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        exact
-                            .query_batch_opts(
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(scratch).deadline(hour),
-                            )
-                            .len(),
-                    );
-                }
-            },
+            || serve(BatchOptions::new()),
+            || serve(BatchOptions::new().deadline(hour)),
         );
-        overhead_rows.push(RobustnessOverheadRow {
-            engine: "exact_index",
-            wall_ms_unbounded,
-            wall_ms_deadline,
-        });
-
-        let scratch = std::cell::RefCell::new(socialscope_content::BatchScratch::default());
-        let (wall_ms_unbounded, wall_ms_deadline) = interleaved_best(
-            15,
-            reps,
-            || {
-                let scratch = &mut *scratch.borrow_mut();
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        clustered
-                            .query_batch_opts(
-                                &model,
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(scratch),
-                            )
-                            .len(),
-                    );
-                }
-            },
-            || {
-                let scratch = &mut *scratch.borrow_mut();
-                for (keywords, batch) in queries.iter().zip(&batches) {
-                    std::hint::black_box(
-                        clustered
-                            .query_batch_opts(
-                                &model,
-                                batch,
-                                keywords,
-                                k,
-                                BatchOptions::new().scratch(scratch).deadline(hour),
-                            )
-                            .len(),
-                    );
-                }
-            },
-        );
-        overhead_rows.push(RobustnessOverheadRow {
-            engine: "clustered_index",
-            wall_ms_unbounded,
-            wall_ms_deadline,
-        });
-    }
-    for row in &overhead_rows {
+        let row =
+            RobustnessOverheadRow { engine: engine.name(), wall_ms_unbounded, wall_ms_deadline };
         println!(
             "{:<16} {:>16.3} {:>15.3} {:>9.2}%",
             row.engine,
@@ -1682,7 +1748,8 @@ fn robustness_sweep(args: &[String]) {
             row.wall_ms_deadline,
             row.overhead_pct()
         );
-    }
+        row
+    });
     let headline =
         overhead_rows.iter().map(RobustnessOverheadRow::overhead_pct).fold(f64::MIN, f64::max);
     println!("\nheadline: cooperative deadline checks cost {headline:.2}% at worst");
@@ -1694,64 +1761,32 @@ fn robustness_sweep(args: &[String]) {
     // machine-dependent by design, emitted for the record and
     // schema-checked, never gated.
     const HIT_BATCH: usize = 4096;
-    let hit_batches: Vec<Vec<socialscope_graph::NodeId>> = (0..queries.len())
-        .map(|q| {
-            (0..HIT_BATCH).map(|i| site.users[(q * HIT_BATCH + i) % site.users.len()]).collect()
-        })
-        .collect();
+    let hit_batches = user_batches(&fx.site.users, queries.len(), HIT_BATCH);
     let hit_members = queries.len() * HIT_BATCH;
-    let exact_call_ms = best_of_three(1, || {
-        for (keywords, batch) in queries.iter().zip(&hit_batches) {
-            std::hint::black_box(exact.query_batch_opts(batch, keywords, k, BatchOptions::new()));
-        }
-    }) / queries.len().max(1) as f64;
-    let clustered_call_ms = best_of_three(1, || {
-        for (keywords, batch) in queries.iter().zip(&hit_batches) {
-            std::hint::black_box(clustered.query_batch_opts(
-                &model,
-                batch,
-                keywords,
-                k,
-                BatchOptions::new(),
-            ));
-        }
-    }) / queries.len().max(1) as f64;
+    let per_call_ms = ENGINES.map(|engine| {
+        best_of_three(1, || {
+            fx.serve_batches(engine, &queries, &hit_batches, k, BatchOptions::new());
+        }) / queries.len() as f64
+    });
     let mut hit_rows: Vec<RobustnessHitRow> = Vec::new();
     println!(
         "\n{:<16} {:>9} {:>12} {:>9} {:>9} {:>9}",
         "engine", "fraction", "budget (ms)", "served", "members", "hit rate"
     );
     for &fraction in &ROBUSTNESS_BUDGET_FRACTIONS {
-        for (engine, per_call_ms) in
-            [("exact_index", exact_call_ms), ("clustered_index", clustered_call_ms)]
-        {
+        for (engine, per_call_ms) in ENGINES.into_iter().zip(per_call_ms) {
             let budget_ms = per_call_ms * fraction;
-            let budget = std::time::Duration::from_secs_f64(budget_ms / 1e3);
-            let mut served = 0usize;
-            for (keywords, batch) in queries.iter().zip(&hit_batches) {
-                if engine == "exact_index" {
-                    served += exact
-                        .query_batch_opts(batch, keywords, k, BatchOptions::new().deadline(budget))
-                        .iter()
-                        .filter(|r| !r.deadline_expired)
-                        .count();
-                } else {
-                    served += clustered
-                        .query_batch_opts(
-                            &model,
-                            batch,
-                            keywords,
-                            k,
-                            BatchOptions::new().deadline(budget),
-                        )
-                        .iter()
-                        .filter(|r| !r.deadline_expired)
-                        .count();
-                }
-            }
+            let budget = Duration::from_secs_f64(budget_ms / 1e3);
+            let served = fx.serve_batches(
+                engine,
+                &queries,
+                &hit_batches,
+                k,
+                BatchOptions::new().deadline(budget),
+            );
             println!(
                 "{:<16} {:>9} {:>12.4} {:>9} {:>9} {:>8.1}%",
-                engine,
+                engine.name(),
                 fraction,
                 budget_ms,
                 served,
@@ -1759,7 +1794,7 @@ fn robustness_sweep(args: &[String]) {
                 100.0 * served as f64 / hit_members.max(1) as f64
             );
             hit_rows.push(RobustnessHitRow {
-                engine,
+                engine: engine.name(),
                 budget_fraction: fraction,
                 budget_ms,
                 served,
@@ -1770,188 +1805,13 @@ fn robustness_sweep(args: &[String]) {
 
     let json = format!(
         "{{\"experiment\":\"E12_robustness_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"queries_per_class\":{queries_per_class},\"repetitions\":{reps},\"site_users\":{},\"batch_size\":{BATCH_SIZE},\"hit_batch_size\":{HIT_BATCH},\"workload_members\":{members},\"contract\":{{\"generous_budget_identical\":true,\"expired_budget_all_degraded\":true,\"partial_results_subset\":true}},\"budget_fractions\":[{}],\"overhead\":[{}],\"hit_rates\":[{}],\"headline\":{{\"metric\":\"deadline_check_overhead_pct\",\"overhead_pct\":{headline:.2}}}}}\n",
-        site.users.len(),
-        ROBUSTNESS_BUDGET_FRACTIONS.map(|f| f.to_string()).join(","),
-        overhead_rows.iter().map(RobustnessOverheadRow::to_json).collect::<Vec<_>>().join(","),
-        hit_rows.iter().map(RobustnessHitRow::to_json).collect::<Vec<_>>().join(",")
+        fx.site.users.len(),
+        json_values(&ROBUSTNESS_BUDGET_FRACTIONS),
+        json_rows(&overhead_rows, RobustnessOverheadRow::to_json),
+        json_rows(&hit_rows, RobustnessHitRow::to_json)
     );
-    write_json_out(out.as_deref(), &json);
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
-
-/// E11 — live index maintenance: for each event-batch size in
-/// [`UPDATE_FRACTIONS`] (fractions of the site's assignment volume), a
-/// deterministic tag-event stream (Zipf-skewed assigns mixed with retracts
-/// of live assignments) is absorbed two ways — `*Index::apply` patching
-/// pre-cloned indexes in place, versus rebuilding the index from scratch.
-/// Both strategies start from the already-updated site model (the
-/// `SiteModel::apply` cost is common to both, so it stays outside the
-/// timed region), and the wall-time ratio is the measured maintenance
-/// gain. Before anything is timed, the
-/// maintained index is asserted identical to the rebuilt one (stats plus a
-/// standard-keyword query sweep over the whole population): the
-/// delta ≡ rebuild contract is checked on the measured workload itself.
-/// Emits a JSON run object (`BENCH_update.json` when `--out` points there).
-fn update_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut reps = 10usize;
-    let mut k = 10usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--out" => out = Some(value("--out").clone()),
-            other => {
-                fail(&format!("unknown update flag `{other}` (expected --scale/--reps/--k/--out)"))
-            }
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
-
-    heading(&format!("E11 / live index maintenance at scale {scale} (k={k}, {reps} reps)"));
-    let site = site_at_scale(scale);
-    let model = SiteModel::from_graph(&site.graph);
-    let assignments: usize = model.tag_assignments().map(|(_, _, taggers)| taggers.len()).sum();
-    let keywords = standard_keywords();
-
-    let exact = ExactIndex::builder(&model).build();
-    let clustered = ClusteredIndex::builder(&model)
-        .clustering(NetworkBasedClustering.cluster(&model, 0.3))
-        .build();
-
-    let mut rows: Vec<UpdateRow> = Vec::new();
-    println!("{assignments} tag assignments on site");
-    println!(
-        "{:<16} {:>9} {:>8} {:>9} {:>13} {:>14} {:>9}",
-        "index", "fraction", "events", "changed", "apply (ms)", "rebuild (ms)", "speedup"
-    );
-    for &fraction in &UPDATE_FRACTIONS {
-        let wanted = ((assignments as f64) * fraction).round().max(1.0) as usize;
-        let events = generate_events(
-            &model,
-            &EventStreamConfig {
-                events: wanted,
-                retract_fraction: 0.3,
-                seed: 7,
-                ..Default::default()
-            },
-        );
-        let mut updated = model.clone();
-        let effective = updated.apply(&events);
-        assert!(effective > 0, "event stream must touch the site");
-
-        // Delta ≡ rebuild, asserted on the measured workload before any
-        // timing: stats plus a full-population query sweep per index.
-        let mut maintained_exact = exact.clone();
-        let exact_report = maintained_exact.apply(&updated, &events);
-        let rebuilt_exact = ExactIndex::builder(&updated).build();
-        assert_eq!(maintained_exact.stats(), rebuilt_exact.stats(), "exact delta diverged");
-        let mut maintained_clustered = clustered.clone();
-        let clustered_report = maintained_clustered.apply(&updated, &events);
-        let rebuilt_clustered = ClusteredIndex::builder(&updated)
-            .clustering(NetworkBasedClustering.cluster(&updated, 0.3))
-            .build();
-        assert_eq!(
-            maintained_clustered.stats_with_refinement(),
-            rebuilt_clustered.stats_with_refinement(),
-            "clustered delta diverged"
-        );
-        for &u in &site.users {
-            assert_eq!(
-                maintained_exact.query(u, &keywords, k),
-                rebuilt_exact.query(u, &keywords, k),
-                "exact delta query diverged"
-            );
-            assert_eq!(
-                maintained_clustered.query(&updated, u, &keywords, k),
-                rebuilt_clustered.query(&updated, u, &keywords, k),
-                "clustered delta query diverged"
-            );
-        }
-
-        // Both maintenance strategies start from the already-updated site
-        // model (rebuilding an index needs it just as much as patching
-        // one), so the timed region is the *index* work only. The apply
-        // mutates, so each timed run consumes a pre-built index clone;
-        // best-of-three over `reps` runs needs 3 × reps of them.
-        let mut exact_pool: Vec<ExactIndex> = (0..3 * reps).map(|_| exact.clone()).collect();
-        let wall_ms_apply = best_of_three(reps, || {
-            let mut ix = exact_pool.pop().expect("clone pool sized to 3 × reps");
-            std::hint::black_box(ix.apply(&updated, &events).changed_entries);
-        });
-        let wall_ms_rebuild = best_of_three(reps, || {
-            std::hint::black_box(ExactIndex::builder(&updated).build().stats().entries);
-        });
-        rows.push(UpdateRow {
-            index: "exact",
-            fraction,
-            events: events.len(),
-            changed_entries: exact_report.changed_entries,
-            wall_ms_apply,
-            wall_ms_rebuild,
-        });
-
-        let mut clustered_pool: Vec<ClusteredIndex> =
-            (0..3 * reps).map(|_| clustered.clone()).collect();
-        let wall_ms_apply = best_of_three(reps, || {
-            let mut ix = clustered_pool.pop().expect("clone pool sized to 3 × reps");
-            std::hint::black_box(ix.apply(&updated, &events).changed_entries);
-        });
-        let wall_ms_rebuild = best_of_three(reps, || {
-            let clustering = NetworkBasedClustering.cluster(&updated, 0.3);
-            std::hint::black_box(
-                ClusteredIndex::builder(&updated).clustering(clustering).build().stats().entries,
-            );
-        });
-        rows.push(UpdateRow {
-            index: "clustered",
-            fraction,
-            events: events.len(),
-            changed_entries: clustered_report.changed_entries,
-            wall_ms_apply,
-            wall_ms_rebuild,
-        });
-
-        for row in rows.iter().rev().take(2).rev() {
-            println!(
-                "{:<16} {:>9} {:>8} {:>9} {:>13.3} {:>14.3} {:>8.2}x",
-                row.index,
-                row.fraction,
-                row.events,
-                row.changed_entries,
-                row.wall_ms_apply,
-                row.wall_ms_rebuild,
-                row.speedup()
-            );
-        }
-    }
-
-    // Headline: the exact index at the 1% event batch — the steady-state
-    // maintenance unit the README quotes and CI gates.
-    let headline = rows
-        .iter()
-        .find(|r| r.index == "exact" && r.fraction == 0.01)
-        .map(UpdateRow::speedup)
-        .unwrap_or(0.0);
-    println!(
-        "\nheadline: exact index applies a 1% event batch {headline:.2}x faster than a rebuild"
-    );
-
-    let json = format!(
-        "{{\"experiment\":\"E11_update_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"repetitions\":{reps},\"site_users\":{},\"tag_assignments\":{assignments},\"retract_fraction\":0.3,\"fractions\":[{}],\"rows\":[{}],\"headline\":{{\"index\":\"exact\",\"fraction\":0.01,\"speedup\":{headline:.2}}}}}\n",
-        site.users.len(),
-        UPDATE_FRACTIONS.map(|f| f.to_string()).join(","),
-        rows.iter().map(UpdateRow::to_json).collect::<Vec<_>>().join(",")
-    );
-    write_json_out(out.as_deref(), &json);
-}
-
 /// The micro-batching windows E13 sweeps, in microseconds. Window 0 is
 /// the per-request baseline (same machinery, no coalescing).
 const SERVING_WINDOWS_US: [u64; 4] = [0, 500, 2000, 5000];
@@ -2001,10 +1861,10 @@ fn serving_keyword_sets() -> Vec<Vec<String>> {
 /// and an exhausted deadline budget comes back as an in-band degraded
 /// 200.
 fn serving_contract(
-    exec: &socialscope_exec::Exec,
+    exec: &Exec,
     engine: &ClusteredNetworkAwareSearch,
-    users: &[socialscope_graph::NodeId],
-    items: &[socialscope_graph::NodeId],
+    users: &[NodeId],
+    items: &[NodeId],
     k: usize,
 ) {
     // A shadow copy of the engine answers "what should the server say".
@@ -2020,7 +1880,7 @@ fn serving_contract(
     let addr = handle.addr();
     let keyword_sets = serving_keyword_sets();
 
-    let query_server = |seeker: socialscope_graph::NodeId, keywords: &[String]| -> QueryResponse {
+    let query_server = |seeker: NodeId, keywords: &[String]| -> QueryResponse {
         let body = QueryRequest::new(seeker, keywords.to_vec(), k).to_json();
         let (status, body) =
             post(addr, "/query", &body).unwrap_or_else(|e| fail_io(&format!("query failed: {e}")));
@@ -2030,15 +1890,14 @@ fn serving_contract(
     };
     let assert_matches_shadow = |shadow: &ClusteredNetworkAwareSearch, label: &str| {
         for keywords in &keyword_sets {
-            for &seeker in users.iter().take(6).chain([socialscope_graph::NodeId(u64::MAX)].iter())
-            {
+            for &seeker in users.iter().take(6).chain([NodeId(u64::MAX)].iter()) {
                 let response = query_server(seeker, keywords);
                 assert!(!response.degraded, "generous-budget contract query degraded ({label})");
                 let direct =
                     shadow.query_batch_opts(&[seeker], keywords, k, BatchOptions::new().exec(exec));
-                let want: Vec<(socialscope_graph::NodeId, f64)> =
+                let want: Vec<(NodeId, f64)> =
                     direct[0].result.ranked.iter().filter(|(_, s)| *s > 0.0).copied().collect();
-                let got: Vec<(socialscope_graph::NodeId, f64)> =
+                let got: Vec<(NodeId, f64)> =
                     response.results.iter().map(|r| (r.item, r.score)).collect();
                 assert_eq!(got, want, "server round-trip diverged from engine ({label})");
                 assert_eq!(response.unclustered, direct[0].unclustered, "flag diverged ({label})");
@@ -2104,49 +1963,19 @@ fn serving_contract(
 /// is asserted before anything is timed. Emits a JSON run object
 /// (`BENCH_serving.json` when `--out` points there).
 fn serving_sweep(args: &[String]) {
-    let mut scale = 200usize;
-    let mut requests = 8000usize;
-    let mut conns = 128usize;
-    let mut slo_ms = 50u64;
-    let mut k = 10usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => scale = parse_num("--scale", value("--scale")),
-            "--requests" => requests = parse_num("--requests", value("--requests")),
-            "--conns" => conns = parse_num("--conns", value("--conns")),
-            "--slo-ms" => slo_ms = parse_num("--slo-ms", value("--slo-ms")),
-            "--k" => k = parse_num("--k", value("--k")),
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown serving flag `{other}` (expected --scale/--requests/--conns/--slo-ms/--k/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
-    if requests == 0 {
-        fail("--requests must be at least 1");
-    }
-    if conns == 0 {
-        fail("--conns must be at least 1");
-    }
-    if slo_ms == 0 {
-        fail("--slo-ms must be at least 1");
-    }
+    let flags = sweep_flags("serving", args);
+    let scale = flags.count("--scale", 200);
+    let requests = flags.count("--requests", 8000);
+    let conns = flags.count("--conns", 128);
+    let slo_ms = flags.count("--slo-ms", 50);
+    let k = flags.count("--k", 10);
 
     heading(&format!(
         "E13 / serving front at scale {scale} ({requests} requests, {conns} connections, SLO {slo_ms}ms)"
     ));
-    let exec = socialscope_exec::Exec::auto();
-    let site = site_at_scale(scale);
-    let engine =
-        ClusteredNetworkAwareSearch::build_with(&exec, &site.graph, &NetworkBasedClustering, 0.3)
-            .with_exact_fallback();
+    let exec = Exec::auto();
+    let Fixture { site, model, exact, clustered } = Fixture::at_scale(scale);
+    let engine = ClusteredNetworkAwareSearch::from_parts(model, clustered).with_fallback(exact);
 
     // Contract before timing: if the serving path is wrong, a fast wrong
     // answer must not make it into the artifact.
@@ -2165,7 +1994,7 @@ fn serving_sweep(args: &[String]) {
             .to_json(),
         })
         .collect();
-    let slo = Duration::from_millis(slo_ms);
+    let slo = Duration::from_millis(slo_ms as u64);
     let boot = |window_us: u64| {
         let config = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -2263,8 +2092,8 @@ fn serving_sweep(args: &[String]) {
     let json = format!(
         "{{\"experiment\":\"E13_serving_sweep\",\"seed\":7,\"scale\":{scale},\"k\":{k},\"requests\":{requests},\"conns\":{conns},\"slo_ms\":{slo_ms},\"site_users\":{},\"contract\":{{\"roundtrip_identical\":true,\"apply_visible\":true,\"malformed_apply_typed\":true,\"degraded_in_band\":true}},\"windows_us\":[{}],\"capacity_rps\":{capacity_rps:.1},\"offered_rps\":{offered_rps:.1},\"rows\":[{}],\"headline\":{{\"window_us\":{},\"throughput_rps\":{:.1},\"p50_us\":{},\"p99_us\":{},\"baseline_throughput_rps\":{:.1},\"baseline_p50_us\":{},\"baseline_p99_us\":{},\"beats_per_request\":{}}}}}\n",
         site.users.len(),
-        SERVING_WINDOWS_US.map(|w| w.to_string()).join(","),
-        rows.iter().map(ServingRow::to_json).collect::<Vec<_>>().join(","),
+        json_values(&SERVING_WINDOWS_US),
+        json_rows(&rows, ServingRow::to_json),
         best_batched.window_us,
         best_batched.throughput_rps,
         best_batched.p50_us,
@@ -2274,7 +2103,7 @@ fn serving_sweep(args: &[String]) {
         baseline.p99_us,
         beats
     );
-    write_json_out(out.as_deref(), &json);
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 /// The largest user scale `scale` accepts: past 10^6 the raw layout alone
@@ -2376,35 +2205,12 @@ const fn layout_name(layout: Layout) -> &'static str {
 /// anything is timed, and the headline compares bytes/user, single-query
 /// latency and batch throughput at the largest scale.
 fn scale_sweep(args: &[String]) {
-    let mut scales: Vec<usize> = vec![10_000, 100_000];
-    let mut layouts: Vec<Layout> = vec![Layout::Raw, Layout::Compressed];
-    let mut k = 10usize;
-    let mut reps = 3usize;
-    let mut probe_users = 64usize;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().unwrap_or_else(|| fail(&format!("{name} requires a value")));
-        match flag.as_str() {
-            "--scale" => {
-                scales = scale_list_error(value("--scale")).unwrap_or_else(|e| fail(&e));
-            }
-            "--layout" => {
-                layouts = layout_list_error(value("--layout")).unwrap_or_else(|e| fail(&e));
-            }
-            "--k" => k = parse_num("--k", value("--k")),
-            "--reps" => reps = parse_num("--reps", value("--reps")),
-            "--users" => probe_users = parse_num("--users", value("--users")),
-            "--out" => out = Some(value("--out").clone()),
-            other => fail(&format!(
-                "unknown scale flag `{other}` (expected --scale/--layout/--k/--reps/--users/--out)"
-            )),
-        }
-    }
-    if let Some(path) = &out {
-        validate_out_path(path);
-    }
+    let flags = sweep_flags("scale", args);
+    let scales = flags.list("--scale", &[10_000, 100_000]);
+    let layouts = flags.layouts(&[Layout::Raw, Layout::Compressed]);
+    let k = flags.count("--k", 10);
+    let reps = flags.count("--reps", 3);
+    let probe_users = flags.count("--users", 64);
 
     heading(&format!(
         "E14 / §6.2 — Memory scaling at {} users ({} probes × {reps} reps, k={k})",
@@ -2453,7 +2259,7 @@ fn scale_sweep(args: &[String]) {
             .collect();
         assert!(!queries.is_empty(), "E14 needs at least one index-hitting keyword set");
         let stride = (site.users.len() / probe_users).max(1);
-        let probes: Vec<socialscope_graph::NodeId> =
+        let probes: Vec<NodeId> =
             site.users.iter().copied().step_by(stride).take(probe_users).collect();
         let batch_size = 32.min(probes.len().max(1));
 
@@ -2508,25 +2314,25 @@ fn scale_sweep(args: &[String]) {
         // keeps its best (minimum) round.
         let mut best_ms = vec![[f64::INFINITY; 3]; built.len()];
         let mut scratch = socialscope_content::BatchScratch::default();
-        for _ in 0..reps.max(1) {
+        for _ in 0..reps {
             for (bi, (_, exact, clustered, ..)) in built.iter().enumerate() {
                 let t = Instant::now();
                 for kw in &queries {
                     for &u in &probes {
-                        std::hint::black_box(exact.query(u, kw, k).ranked.len());
+                        black_box(exact.query(u, kw, k).ranked.len());
                     }
                 }
                 best_ms[bi][0] = best_ms[bi][0].min(t.elapsed().as_secs_f64() * 1e3);
                 let t = Instant::now();
                 for kw in &queries {
                     for &u in &probes {
-                        std::hint::black_box(clustered.query(&model, u, kw, k).result.ranked.len());
+                        black_box(clustered.query(&model, u, kw, k).result.ranked.len());
                     }
                 }
                 best_ms[bi][1] = best_ms[bi][1].min(t.elapsed().as_secs_f64() * 1e3);
                 let t = Instant::now();
                 for kw in &queries {
-                    std::hint::black_box(
+                    black_box(
                         exact
                             .query_batch_opts(
                                 &probes[..batch_size],
@@ -2608,12 +2414,12 @@ fn scale_sweep(args: &[String]) {
 
     let json = format!(
         "{{\"experiment\":\"E14_scale_sweep\",\"seed\":7,\"k\":{k},\"repetitions\":{reps},\"probe_users\":{probe_users},\"scales\":[{}],\"layouts\":[{}],\"identity_checked\":{},\"rows\":[{}],\"headline\":{headline}}}\n",
-        scales.iter().map(|s| s.to_string()).collect::<Vec<_>>().join(","),
-        layouts.iter().map(|&l| format!("\"{}\"", layout_name(l))).collect::<Vec<_>>().join(","),
+        json_values(&scales),
+        json_rows(&layouts, |&l| format!("\"{}\"", layout_name(l))),
         layouts.len() == 2,
-        rows.iter().map(ScaleRow::to_json).collect::<Vec<_>>().join(",")
+        json_rows(&rows, ScaleRow::to_json)
     );
-    write_json_out(out.as_deref(), &json);
+    write_json_out(flags.path("--out").as_deref(), &json);
 }
 
 #[cfg(test)]
@@ -2670,5 +2476,74 @@ mod out_path_tests {
     fn writable_destinations_pass() {
         assert!(out_path_error("bench.json").is_none());
         assert!(out_path_error("./bench.json").is_none());
+    }
+}
+
+#[cfg(test)]
+mod sweep_flag_tests {
+    use super::{flag_kind, parse_flags, FlagKind, SWEEP_FLAGS};
+
+    /// A valid value for every flag kind.
+    fn valid_value(kind: FlagKind) -> &'static str {
+        match kind {
+            FlagKind::Count => "3",
+            FlagKind::Out => "bench.json",
+            FlagKind::Input => "before.json",
+            FlagKind::Threads => "1,4",
+            FlagKind::Scales => "200,400",
+            FlagKind::Layouts => "both",
+        }
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn the_table_covers_every_sweep_subcommand() {
+        let sweeps: Vec<&str> = SWEEP_FLAGS.iter().map(|(sweep, _)| *sweep).collect();
+        assert_eq!(
+            sweeps,
+            ["topk", "batch", "parallel", "update", "robustness", "serving", "scale"]
+        );
+    }
+
+    #[test]
+    fn every_declared_flag_is_accepted() {
+        for &(sweep, table) in SWEEP_FLAGS {
+            assert!(parse_flags(sweep, &[]).is_ok(), "{sweep} with every default");
+            let all: Vec<&str> = table
+                .iter()
+                .flat_map(|&flag| [flag, valid_value(flag_kind(sweep, flag))])
+                .collect();
+            let flags = parse_flags(sweep, &args(&all)).unwrap_or_else(|e| panic!("{sweep}: {e}"));
+            for &flag in table {
+                assert!(flags.get(flag).is_some(), "{sweep} dropped {flag}");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flags_missing_values_and_zero_counts_are_usage_errors() {
+        for &(sweep, table) in SWEEP_FLAGS {
+            let unknown = parse_flags(sweep, &args(&["--bogus", "1"])).err();
+            assert!(unknown.is_some_and(|e| e.contains("unknown")), "{sweep} --bogus");
+            for &flag in table {
+                let missing = parse_flags(sweep, &args(&[flag])).err();
+                assert!(missing.is_some_and(|e| e.contains("requires a value")), "{sweep} {flag}");
+                let kind = flag_kind(sweep, flag);
+                if matches!(kind, FlagKind::Count | FlagKind::Threads | FlagKind::Scales) {
+                    assert!(parse_flags(sweep, &args(&[flag, "0"])).is_err(), "{sweep} {flag} 0");
+                    assert!(parse_flags(sweep, &args(&[flag, "x"])).is_err(), "{sweep} {flag} x");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_flag_keeps_its_last_value() {
+        let flags = parse_flags("batch", &args(&["--reps", "2", "--reps", "5"])).unwrap();
+        assert_eq!(flags.count("--reps", 30), 5);
+        assert_eq!(flags.count("--k", 10), 10, "an absent flag takes the default");
     }
 }

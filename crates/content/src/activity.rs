@@ -7,11 +7,10 @@
 //! a dormant one.
 
 use crate::sitemodel::SiteModel;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, NodeId};
 
 /// Coarse activity category of a user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActivityLevel {
     /// Little or no recorded activity.
     Light,
@@ -22,7 +21,7 @@ pub enum ActivityLevel {
 }
 
 /// A per-user refresh recommendation derived from activity levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshPlan {
     /// The user the plan applies to.
     pub user: NodeId,
@@ -34,7 +33,7 @@ pub struct RefreshPlan {
 }
 
 /// Categorizes users by activity and produces refresh plans.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ActivityManager {
     levels: FxHashMap<NodeId, ActivityLevel>,
     /// Activity score used per user (items tagged + network size).

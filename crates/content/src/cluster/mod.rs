@@ -28,17 +28,14 @@ pub use hybrid::HybridClustering;
 pub use network::NetworkBasedClustering;
 
 use crate::sitemodel::{SiteModel, SiteView};
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, NodeId};
 
 /// Identifier of a user cluster.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClusterId(pub usize);
 
 /// A complete clustering of a site's users.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UserClustering {
     /// Strategy that produced the clustering.
     pub strategy: String,

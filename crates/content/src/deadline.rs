@@ -47,12 +47,6 @@ impl Deadline {
         Deadline { budget, at: None, until_check: 0 }
     }
 
-    /// The unbounded clock (never expires) — for the deprecated direct
-    /// serving entry points that predate deadlines.
-    pub(crate) fn unbounded() -> Self {
-        Deadline { budget: None, at: None, until_check: 0 }
-    }
-
     /// One cooperative check. Once true, every later check is also true
     /// (time is monotonic, the injected-fault clock is sticky, and the
     /// stride counter only rearms after a *non*-expired clock read).

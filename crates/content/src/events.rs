@@ -10,7 +10,6 @@
 //! to exactly the state a from-scratch rebuild would produce — without the
 //! rebuild.
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::NodeId;
 
 /// One tagging action on the site: a user assigning a tag to an item, or
@@ -21,7 +20,7 @@ use socialscope_graph::NodeId;
 /// is a no-op everywhere in the delta path (site model and indexes alike),
 /// so replaying a batch — or interleaving duplicates into one — cannot
 /// drift the maintained state away from a rebuild.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TagEvent {
     /// A user tagged an item.
     Assign {

@@ -27,7 +27,7 @@
 //! groups across scoped-thread workers and merges the partial accumulators
 //! **in shard order**, so a parallel build is indistinguishable from a
 //! sequential one (index stats, every list, every query answer — a
-//! proptested invariant), and `query_batch` splits a batch by slot range
+//! proptested invariant), and `query_batch_opts` splits a batch by slot range
 //! (exact) / cluster group (clustered) with one scratch arena per worker,
 //! preserving the element-wise-identical-to-single-queries guarantee
 //! verbatim. `Exec::sequential()` (or a computed shard count of 1) runs the
@@ -42,14 +42,13 @@ use crate::refinement::{RefinementIndex, RefinementSplice, ResolvedRefinement};
 use crate::sitemodel::{count_intersection, SiteModel, SiteView};
 use crate::tags::{PlannedTags, QueryTags, TagId, TagInterner};
 use crate::topk::{top_k_hinted_with, top_k_with, TopKResult, TopKScratch};
-use serde::{Deserialize, Serialize};
 use socialscope_exec::Exec;
 use socialscope_graph::{FxBuildHasher, FxHashMap, NodeId};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Space statistics of an index.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Number of inverted lists.
     pub lists: usize,
@@ -70,7 +69,7 @@ pub struct IndexStats {
 /// Real heap footprint of an index, broken down by component — the
 /// counters behind E14's bytes/user reporting and the server's `/stats`
 /// memory block. All length-based (see [`IndexStats::heap_bytes`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryProfile {
     /// The exact index's per-`(tag, user)` posting lists, both access
     /// orders (zero for a clustered index).
@@ -121,7 +120,7 @@ fn table_bytes<K, V>(len: usize) -> usize {
 /// ([`Self::is_noop`]) means the batch was entirely redundant — duplicate
 /// assigns, retracts of absent assignments — and the index (including the
 /// clustered index's build stamp) is untouched.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ApplyReport {
     /// Posting/bound-list entries inserted, updated or removed.
     pub changed_entries: usize,
@@ -225,7 +224,7 @@ type UserLists = Vec<(TagId, PostingList)>;
 /// Reusable scratch arena for batch query evaluation: the slot-resolution
 /// buffer that orders a batch by index layout, plus the top-k evaluation
 /// state (candidate heap + seen set) threaded through every query of the
-/// batch. One arena serves any number of `query_batch_with` calls — a
+/// batch. One arena serves any number of `query_batch_opts` calls — a
 /// serving thread keeps one per worker and pays the setup allocations
 /// once, not once per query.
 #[derive(Default)]
@@ -307,24 +306,12 @@ enum ScratchSlot<'a> {
     Pool(&'a mut BatchScratchPool),
 }
 
-/// Options for one batched query call — the single entry point that
-/// replaced the `query_batch` / `query_batch_with` / `query_batch_par` /
-/// `query_batch_par_with` method matrix on both indexes.
+/// Options for one batched query call on either index.
 ///
 /// Build with the fluent setters and pass (by value) to
 /// [`ExactIndex::query_batch_opts`] or
-/// [`ClusteredIndex::query_batch_opts`]; the defaults reproduce the old
-/// `query_batch` exactly. Migration table:
-///
-/// | Old call | New call |
-/// |---|---|
-/// | `query_batch(users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new())` |
-/// | `query_batch_with(&mut scratch, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().scratch(&mut scratch))` |
-/// | `query_batch_par(&exec, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().exec(&exec))` |
-/// | `query_batch_par_with(&exec, &mut pool, users, kw, k)` | `query_batch_opts(users, kw, k, BatchOptions::new().exec(&exec).scratch_pool(&mut pool))` |
-///
-/// (The clustered index's variants take the site model as their first
-/// argument, before `users`, in both the old and the new shape.)
+/// [`ClusteredIndex::query_batch_opts`]; the defaults serve the batch on
+/// [`Exec::auto`] through a throwaway scratch pool.
 ///
 /// Every combination is element-wise identical to single
 /// [`ExactIndex::query`] / [`ClusteredIndex::query`] calls — the options
@@ -525,7 +512,7 @@ struct GatheredQuery<'q, 'i> {
 /// a slot once in the outer table, then each keyword scans the user's
 /// small tag-sorted vector — one or two cache lines instead of a hash
 /// probe per keyword — and batch queries walk the slots in layout order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExactIndex {
     tags: TagInterner,
     /// Maps a user to their slot in `users` — the single hash probe of a
@@ -1028,8 +1015,7 @@ impl ExactIndex {
     /// arrive in input order and each equals the corresponding
     /// [`Self::query`] call exactly, whatever the options: [`BatchOptions`]
     /// choose the threads ([`Exec::auto`] by default) and the scratch reuse
-    /// (throwaway by default), never the answers. See [`BatchOptions`] for
-    /// the migration table from the retired `query_batch` method matrix.
+    /// (throwaway by default), never the answers.
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -1055,59 +1041,6 @@ impl ExactIndex {
                 deadline,
             ),
         }
-    }
-
-    /// Batched top-k with every default.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(&self, users: &[NodeId], keywords: &[String], k: usize) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Batched top-k through a caller-owned sequential arena.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.serve_batch_seq(scratch, users, keywords, k, Deadline::unbounded())
-    }
-
-    /// Batched top-k on a caller-chosen [`Exec`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Batched top-k on a caller-chosen [`Exec`] through a caller-owned
-    /// arena pool.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.serve_batch_sharded(exec, pool, users, keywords, k, Deadline::unbounded())
     }
 
     /// The single-threaded batch path: one scratch arena, users walked in
@@ -1377,7 +1310,7 @@ impl ClusteredIndexBuilder<'_> {
 /// `(TagId, ClusterId)` key order (deterministic for every build thread
 /// count); applies append new lists and refill an emptied list's slot
 /// with the pool's last list, so slots are handles, not an order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ClusteredIndex {
     tags: TagInterner,
     /// `(tag, cluster)` → slot in `list_pool`.
@@ -1393,17 +1326,14 @@ pub struct ClusteredIndex {
     /// Build identity the scratch-level gather caches key on (see
     /// [`next_build_stamp`]). 0 — the default — disables caching for this
     /// index. Process-local by construction, so it must never be
-    /// persisted: a deserialized stamp could collide with a live build's
-    /// and let a reused scratch replay the wrong index's pool slots
-    /// (`skip` keeps a future real serde backend honest; the current
-    /// offline shim serializes nothing anyway).
-    #[serde(skip)]
+    /// persisted: a restored stamp could collide with a live build's and
+    /// let a reused scratch replay the wrong index's pool slots.
     stamp: u64,
 }
 
 /// Cost counters specific to clustered query processing, reported alongside
 /// the top-k result.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClusteredQueryReport {
     /// The top-k evaluation result and generic counters.
     pub result: TopKResult,
@@ -1426,7 +1356,6 @@ pub struct ClusteredQueryReport {
     /// served: the same empty-with-flag semantic as `unclustered`, with
     /// [`TopKResult::deadline_expired`] set on the embedded result too.
     /// Always `false` on the single-query path, which has no deadline.
-    #[serde(default)]
     pub deadline_expired: bool,
 }
 
@@ -2060,8 +1989,7 @@ impl ClusteredIndex {
     /// included (empty-with-flag, see
     /// [`ClusteredQueryReport::unclustered`]). Threads come from
     /// [`Exec::auto`]; behaviour knobs (execution, scratch reuse) come
-    /// through [`BatchOptions`], which carries the migration table from
-    /// the retired `query_batch` method matrix.
+    /// through [`BatchOptions`].
     pub fn query_batch_opts(
         &self,
         site: &SiteModel,
@@ -2089,67 +2017,6 @@ impl ClusteredIndex {
                 deadline,
             ),
         }
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(
-        &self,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(site, users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.serve_batch_seq(scratch, site, users, keywords, k, Deadline::unbounded())
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(site, users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.serve_batch_sharded(exec, pool, site, users, keywords, k, Deadline::unbounded())
     }
 
     /// The sequential batch path behind [`Self::query_batch_opts`]:

@@ -2,20 +2,20 @@
 //! connections from remote social sites into the local social content graph
 //! over an OpenSocial-style API.
 //!
-//! Remote sites are simulated in-process (see DESIGN.md's substitution
-//! table): [`SimulatedRemoteSite`] models availability, per-user permission
+//! Remote sites are simulated in-process, standing in for the remote
+//! social sites the paper integrates: [`SimulatedRemoteSite`] models
+//! availability, per-user permission
 //! grants (the "given users' permission" clause of the Open Cartel model)
 //! and request counting, which is all the integration experiments need.
 
 use crate::error::ContentError;
 use crate::Result;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{GraphBuilder, NodeId, SocialGraph, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A user profile as exposed by a remote social site.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteProfile {
     /// The user's id in the shared (OpenID-style) id space.
     pub user: NodeId,
@@ -124,7 +124,7 @@ impl RemoteSite for SimulatedRemoteSite {
 }
 
 /// Summary of one integration pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncReport {
     /// Profiles successfully imported or refreshed.
     pub profiles_imported: usize,

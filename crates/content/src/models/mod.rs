@@ -25,11 +25,9 @@ pub use closed::ClosedCartelModel;
 pub use decentralized::DecentralizedModel;
 pub use open::{OpenCartelModel, OpenCartelSophistication};
 
-use serde::{Deserialize, Serialize};
-
 /// Degree of control a party has over a data category (the cell values of
 /// Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlLevel {
     /// Full control ("yes" in Table 2).
     Full,
@@ -50,7 +48,7 @@ impl std::fmt::Display for ControlLevel {
 }
 
 /// Which kind of site users primarily interact with under a model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InteractionPoint {
     /// Users interact with the content site(s).
     ContentSite,
@@ -68,7 +66,7 @@ impl std::fmt::Display for InteractionPoint {
 }
 
 /// Control over the three data categories held by one party.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Controls {
     /// Control over site content.
     pub content: ControlLevel,
@@ -79,7 +77,7 @@ pub struct Controls {
 }
 
 /// The full Table 2 row set for one management model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlMatrix {
     /// Which site users interact with.
     pub user_interaction: InteractionPoint,
@@ -95,7 +93,7 @@ pub struct ControlMatrix {
 /// A scripted user journey driving the simulation: every user signs up,
 /// establishes connections, performs activities and issues queries, across a
 /// number of independent content sites backed by one social site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UserJourney {
     /// Number of users.
     pub users: usize,
@@ -122,7 +120,7 @@ impl Default for UserJourney {
 }
 
 /// Measured consequences of running a journey under a model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JourneyMetrics {
     /// Total profile records stored across all sites.
     pub profiles_stored: usize,

@@ -4,14 +4,13 @@ use super::{
     ControlLevel, ControlMatrix, Controls, DeploymentModel, InteractionPoint, JourneyMetrics,
     UserJourney,
 };
-use serde::{Deserialize, Serialize};
 
 /// The level of sophistication a content site operates at under the Open
 /// Cartel model, as the paper enumerates: delegate everything to the social
 /// site, manage activities locally, or additionally maintain a synchronized
 /// local copy of the social graph (a "focused view on the underlying global
 /// social graph").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpenCartelSophistication {
     /// Delegate both activities and connections to the social site.
     DelegateAll,
@@ -26,7 +25,7 @@ pub enum OpenCartelSophistication {
 /// Social sites keep the canonical profiles and connections; open standards
 /// (OpenID / OpenSocial) let content sites retrieve them with user
 /// permission and propagate locally created connections back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenCartelModel {
     /// The sophistication level of the participating content sites.
     pub sophistication: OpenCartelSophistication,

@@ -19,12 +19,11 @@
 //! from-scratch rebuild would produce.
 
 use crate::varint::{get_score, get_u64, put_score, put_u64};
-use serde::{Deserialize, Serialize};
 use socialscope_graph::NodeId;
 
 /// One entry of an inverted list: an item and its (exact or upper-bound)
 /// score for the list's `(tag, user)` or `(tag, cluster)` key.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// The item.
     pub item: NodeId,
@@ -47,7 +46,7 @@ pub const BYTES_PER_ENTRY: usize = 10;
 /// bytes differ.
 ///
 /// [`Raw`]: Layout::Raw
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Layout {
     /// Plain vectors: no decode cost, maximal memory.
     #[default]
@@ -104,7 +103,7 @@ pub(crate) fn build_item_companion(
 
 /// The compressed physical form: both access orders as varint byte
 /// streams, plus the companion's skip directory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Packed {
     /// Entry count of the sorted-access stream.
     len: u32,
@@ -213,7 +212,7 @@ impl Packed {
 }
 
 /// The raw (uncompressed) vectors behind a [`PostingList`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct RawList {
     /// Descending-score entries (sorted access).
     entries: Vec<Posting>,
@@ -232,7 +231,7 @@ struct RawList {
 /// drain a list normalize back to `Empty`), so the physical bytes stay a
 /// pure function of logical content and requested [`Layout`], which the
 /// maintained ≡ rebuilt byte-identity checks rely on.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum Repr {
     /// No entries (const-constructible — the state [`PostingList::new`]
     /// starts from, and what any emptied list returns to).
@@ -253,7 +252,7 @@ enum Repr {
 ///
 /// Equality is *logical* — two lists are equal when their sorted-access
 /// entry sequences are, regardless of layout.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PostingList {
     repr: Repr,
 }

@@ -35,7 +35,6 @@ use crate::posting::{Layout, BYTES_PER_ENTRY, SKIP_EVERY};
 use crate::sitemodel::count_intersection;
 use crate::tags::TagId;
 use crate::varint::{get_u64, put_u64};
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, NodeId};
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -43,14 +42,14 @@ use std::sync::OnceLock;
 /// Location of one `(tag, item)` tagger group inside the shared arena:
 /// `start` is an element index into the raw arena or a byte offset into the
 /// compressed one; `len` is always the tagger *count*.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Span {
     start: u32,
     len: u32,
 }
 
 /// The arena's physical form (see [`Layout`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum ArenaRepr {
     /// Flat tagger ids; each group a contiguous ascending run.
     Raw(Vec<NodeId>),
@@ -207,7 +206,7 @@ fn count_packed_intersection(network: &[NodeId], bytes: &[u8], span: Span) -> us
 /// assignments. Tagger groups live in one flat arena (raw or compressed,
 /// see [`Layout`]), with a per-tag integer-keyed map from item to its
 /// group's span.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RefinementIndex {
     /// The arena of tagger ids, in one of the two physical layouts.
     arena: ArenaRepr,

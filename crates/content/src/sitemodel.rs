@@ -12,7 +12,6 @@
 
 use crate::events::TagEvent;
 use crate::tags::normalize;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashMap, HasAttrs, NodeId, SocialGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// time: `score_k` then intersects two contiguous sorted runs instead of
 /// walking two B-trees — the dominant cost of clustered query processing
 /// and of the exhaustive baseline.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SiteModel {
     users: BTreeSet<NodeId>,
     items: BTreeSet<NodeId>,

@@ -9,14 +9,11 @@
 //! lowercase (the common case: the graph layer lowercases stored tags).
 
 use crate::inline::InlineVec;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::FxHashMap;
 use std::borrow::Cow;
 
 /// Interned identifier of a lowercase-normalized tag.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TagId(pub u32);
 
 /// Normalize a raw tag for index lookup, borrowing when no rewriting is
@@ -31,7 +28,7 @@ pub(crate) fn normalize(tag: &str) -> Cow<'_, str> {
 }
 
 /// A symbol table mapping lowercase-normalized tags to dense [`TagId`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TagInterner {
     ids: FxHashMap<String, TagId>,
     names: Vec<String>,

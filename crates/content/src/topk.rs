@@ -20,12 +20,11 @@
 //! the classic formulation while returning the same top k.
 
 use crate::posting::{build_item_companion, find_score_by_item, PostingList, PostingScan};
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{FxHashSet, NodeId};
 use std::collections::BinaryHeap;
 
 /// Result and cost counters of a top-k evaluation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TopKResult {
     /// The top items with their exact scores, best first. Treat as
     /// read-only: editing entries in place leaves a big result's
@@ -43,7 +42,6 @@ pub struct TopKResult {
     /// budget ran out before this user was served, so the result is empty
     /// with this flag set. Never set on a served result — a query is either
     /// answered exactly or flagged, never answered partially.
-    #[serde(default)]
     pub deadline_expired: bool,
     /// `ranked` re-sorted in ascending item order, built by the top-k
     /// evaluators (for results big enough to bisect) so [`Self::score_of`]

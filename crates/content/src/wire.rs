@@ -4,17 +4,14 @@
 //!
 //! Every document carries a `version` field ([`WIRE_VERSION`]); a server
 //! rejects documents from a future schema with a typed
-//! [`ErrorResponse`] instead of guessing. The types derive `serde`
-//! `Serialize`/`Deserialize` for API stability, and — because the
-//! workspace builds against dependency-free shims in fully offline
-//! environments — additionally carry a hand-rolled JSON codec
+//! [`ErrorResponse`] instead of guessing. The workspace takes no
+//! serialization dependency: each type carries a hand-rolled JSON codec
 //! (`to_json` / `from_json`) implemented over a minimal recursive-descent
 //! parser in this module. The JSON spelling *is* the wire contract:
 //! object keys are emitted in declaration order and unknown keys are
 //! ignored on input, so fields can be added compatibly.
 
 use crate::events::TagEvent;
-use serde::{Deserialize, Serialize};
 use socialscope_graph::NodeId;
 use std::fmt;
 
@@ -42,7 +39,7 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A single-seeker top-k query request (`POST /query`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// Schema version; must equal [`WIRE_VERSION`].
     pub version: u64,
@@ -85,7 +82,7 @@ impl QueryRequest {
 }
 
 /// One ranked item of a [`QueryResponse`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoredItem {
     /// The recommended item.
     pub item: NodeId,
@@ -94,7 +91,7 @@ pub struct ScoredItem {
 }
 
 /// The answer to a [`QueryRequest`] (HTTP 200, degraded or not).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// Schema version; always [`WIRE_VERSION`].
     pub version: u64,
@@ -160,7 +157,7 @@ impl QueryResponse {
 }
 
 /// A batch of tag events to apply transactionally (`POST /apply`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplyRequest {
     /// Schema version; must equal [`WIRE_VERSION`].
     pub version: u64,
@@ -169,7 +166,7 @@ pub struct ApplyRequest {
 }
 
 /// One tag event on the wire (`op` is `"assign"` or `"retract"`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireEvent {
     /// `"assign"` or `"retract"`.
     pub op: String,
@@ -250,7 +247,7 @@ impl ApplyRequest {
 
 /// The answer to a successful [`ApplyRequest`] (HTTP 200) — the engine's
 /// apply report on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ApplyResponse {
     /// Schema version; always [`WIRE_VERSION`].
     pub version: u64,
@@ -290,7 +287,7 @@ impl ApplyResponse {
 /// counters-only document — same [`WIRE_VERSION`], so old clients keep
 /// parsing the fields they know and new clients get the
 /// [`crate::MemoryProfile`] breakdown behind E14's bytes/user reporting.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsResponse {
     /// Schema version; always [`WIRE_VERSION`].
     pub version: u64,
@@ -358,7 +355,7 @@ impl StatsResponse {
 }
 
 /// A typed error body (every non-200 status carries one).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorResponse {
     /// Schema version; always [`WIRE_VERSION`].
     pub version: u64,

@@ -566,81 +566,6 @@ proptest! {
         }
     }
 
-    /// Every retired `query_batch*` spelling is a pure alias of
-    /// [`ExactIndex::query_batch_opts`] / [`ClusteredIndex::query_batch_opts`]
-    /// with the corresponding [`BatchOptions`] — element-wise identical
-    /// output (ranking, scores *and* cost counters) at one and four
-    /// threads, with fresh and reused scratches alike. Migrating a caller
-    /// off a deprecated wrapper can never change what it observes.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_query_batch_opts(
-        (users, items, fr, tg) in arb_inputs(),
-        theta in 0.1f64..0.9,
-        k in 0usize..5,
-        picks in prop::collection::vec(0usize..10, 1..10),
-    ) {
-        let (g, user_ids) = build_site(users, items, &fr, &tg);
-        let site = SiteModel::from_graph(&g);
-        let exact = ExactIndex::build(&site);
-        let clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, theta));
-        let keywords = vec![TAGS[0].to_string(), TAGS[1].to_string()];
-        // Enough seekers to cross the parallel fan-out floor at 4 threads.
-        let batch: Vec<NodeId> = (0..200)
-            .map(|i| {
-                let p = picks[i % picks.len()] + i / picks.len();
-                if p < user_ids.len() {
-                    user_ids[p % user_ids.len()]
-                } else {
-                    NodeId(10_000 + p as u64)
-                }
-            })
-            .collect();
-        let exact_want = exact.query_batch_opts(&batch, &keywords, k, BatchOptions::new());
-        let clustered_want =
-            clustered.query_batch_opts(&site, &batch, &keywords, k, BatchOptions::new());
-        prop_assert_eq!(&exact.query_batch(&batch, &keywords, k), &exact_want);
-        prop_assert_eq!(
-            &clustered.query_batch(&site, &batch, &keywords, k),
-            &clustered_want
-        );
-        let mut scratch = BatchScratch::default();
-        prop_assert_eq!(
-            &exact.query_batch_with(&mut scratch, &batch, &keywords, k),
-            &exact_want
-        );
-        prop_assert_eq!(
-            &clustered.query_batch_with(&mut scratch, &site, &batch, &keywords, k),
-            &clustered_want
-        );
-        let mut pool = BatchScratchPool::default();
-        for threads in [1usize, 4] {
-            let exec = Exec::new(threads).unwrap();
-            prop_assert_eq!(
-                &exact.query_batch_par(&exec, &batch, &keywords, k),
-                &exact.query_batch_opts(&batch, &keywords, k, BatchOptions::new().exec(&exec)),
-                "exact par at {} threads", threads
-            );
-            prop_assert_eq!(
-                &exact.query_batch_par_with(&exec, &mut pool, &batch, &keywords, k),
-                &exact_want,
-                "exact par_with at {} threads", threads
-            );
-            prop_assert_eq!(
-                &clustered.query_batch_par(&exec, &site, &batch, &keywords, k),
-                &clustered.query_batch_opts(
-                    &site, &batch, &keywords, k, BatchOptions::new().exec(&exec),
-                ),
-                "clustered par at {} threads", threads
-            );
-            prop_assert_eq!(
-                &clustered.query_batch_par_with(&exec, &mut pool, &site, &batch, &keywords, k),
-                &clustered_want,
-                "clustered par_with at {} threads", threads
-            );
-        }
-    }
-
     /// **Varint layout round trip.** For arbitrary posting entries —
     /// duplicate items, fractional / negative / huge scores, empty lists —
     /// flipping a list to [`Layout::Compressed`] preserves every

@@ -90,6 +90,7 @@ fn check_rollback<C: std::fmt::Debug>(
 
 #[test]
 fn a_fault_at_every_registered_site_rolls_back_cleanly() {
+    let scenario = FailScenario::setup();
     let (site0, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let exact0 = ExactIndex::build(&site0);
@@ -106,7 +107,6 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
     updated_site.apply(&events);
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
-    let scenario = FailScenario::setup();
     for &fp in faults::APPLY_SITES {
         scenario.arm(fp, FailAction::Fault { after: 0 });
 
@@ -152,6 +152,7 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
 /// converges to a compressed rebuild — stats, heap bytes and answers.
 #[test]
 fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
+    let scenario = FailScenario::setup();
     let (site0, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let exact0 = ExactIndex::builder(&site0).layout(Layout::Compressed).build();
@@ -169,7 +170,6 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
     updated_site.apply(&events);
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
-    let scenario = FailScenario::setup();
     for &fp in faults::APPLY_SITES {
         scenario.arm(fp, FailAction::Fault { after: 0 });
         let mut exact = exact0.clone();
@@ -216,6 +216,7 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
 /// nothing for the warm cache to be stale against.
 #[test]
 fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
+    let scenario = FailScenario::setup();
     let (mut site, users, items) = two_cliques();
     let exec = Exec::new(2).unwrap();
     let mut clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
@@ -230,7 +231,6 @@ fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
     );
     let stamp = clustered.build_stamp();
 
-    let scenario = FailScenario::setup();
     let effective = [TagEvent::assign(users[4], items[0], "baseball")];
     let redundant = [TagEvent::assign(users[1], items[0], "baseball")];
     for &fp in faults::APPLY_SITES {
@@ -271,6 +271,7 @@ fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
 /// possible check index.
 #[test]
 fn a_forced_deadline_expiry_serves_a_flagged_subset() {
+    let scenario = FailScenario::setup();
     let (site, users, _) = two_cliques();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
     let exact = ExactIndex::build(&site);
@@ -282,7 +283,6 @@ fn a_forced_deadline_expiry_serves_a_flagged_subset() {
     // the test is deterministic regardless of machine speed.
     let hour = std::time::Duration::from_secs(3600);
 
-    let scenario = FailScenario::setup();
     for threads in [1usize, 4] {
         let exec = Exec::new(threads).unwrap();
         // `after` sweeps "expire at the n-th cooperative check": 0 starves
@@ -352,6 +352,7 @@ proptest! {
         threads in 1usize..5,
         site_pick in 0usize..6,
     ) {
+        let scenario = FailScenario::setup();
         let (site0, users, items) = two_cliques();
         let exec = Exec::new(threads).unwrap();
         let exact0 = ExactIndex::build(&site0);
@@ -373,7 +374,6 @@ proptest! {
         updated_site.apply(&events);
         let fp = faults::APPLY_SITES[site_pick % faults::APPLY_SITES.len()];
 
-        let scenario = FailScenario::setup();
         scenario.arm(fp, FailAction::Fault { after: 0 });
         let mut exact = exact0.clone();
         let mut clustered = clustered0.clone();

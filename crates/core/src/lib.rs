@@ -17,7 +17,7 @@
 //! * [`presentation`] — the information presentation layer: grouping,
 //!   organization and explanations (§7);
 //! * [`workload`] — synthetic site and query-log generators used by the
-//!   experiment harness (see `EXPERIMENTS.md`);
+//!   experiment harness (the `experiments` binary of `socialscope_bench`);
 //! * [`exec`] — the execution layer: the scoped-thread shard pool behind
 //!   parallel index builds, multi-threaded batch serving and batch-routed
 //!   discovery (deterministic: parallel results are identical to

@@ -6,12 +6,11 @@
 //! presentation layer uses to suggest related topics (Example 3's
 //! "Independence War" suggestion).
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{HasAttrs, SocialGraph};
 use std::collections::BTreeMap;
 
 /// An association rule between two tags.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssociationRule {
     /// The antecedent tag.
     pub antecedent: String,

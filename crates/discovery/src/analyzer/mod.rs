@@ -22,11 +22,10 @@ pub use assoc::{mine_association_rules, AssociationRule};
 pub use similarity::derive_similarity_links;
 pub use topics::{TopicModel, TopicModelConfig};
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::SocialGraph;
 
 /// What one full analysis pass added to the graph.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisReport {
     /// Topic nodes added.
     pub topics_added: usize,

@@ -10,12 +10,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{GraphBuilder, HasAttrs, NodeId, SocialGraph};
 use std::collections::BTreeMap;
 
 /// Configuration of the topic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopicModelConfig {
     /// Number of topics to derive.
     pub num_topics: usize,
@@ -37,7 +36,7 @@ impl Default for TopicModelConfig {
 
 /// A derived topic: a label (its most probable tags) and the items assigned
 /// to it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivedTopic {
     /// Human-readable label built from the topic's top tags.
     pub label: String,
@@ -48,7 +47,7 @@ pub struct DerivedTopic {
 }
 
 /// The result of topic derivation.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopicModel {
     /// The derived topics (empty topics are dropped).
     pub topics: Vec<DerivedTopic>,

@@ -6,14 +6,11 @@
 
 use crate::msg::{MeaningfulSocialGraph, RankedItem};
 use crate::query::{tokenize, UserQuery};
-use crate::recommend::{
-    BatchRecommender, ClusteredNetworkAwareSearch, NetworkAwareSearch, Recommendation,
-};
+use crate::recommend::{BatchRecommender, Recommendation};
 use crate::relevance::{combined_score, RelevanceWeights, SemanticScorer};
 use crate::social::SocialRelevance;
 use socialscope_algebra::prelude::*;
 use socialscope_content::BatchOptions;
-use socialscope_exec::Exec;
 use socialscope_graph::{HasAttrs, NodeId, SocialGraph};
 
 /// The Information Discoverer: configuration plus the discovery entry point.
@@ -103,11 +100,11 @@ impl InformationDiscoverer {
     ///
     /// This is the *one* batched discovery surface, mirroring the engines'
     /// `query_batch_opts`: which engine serves it is the
-    /// [`BatchRecommender`] value — [`NetworkAwareSearch`] for the exact
-    /// deployment, [`ClusteredNetworkAwareSearch`] for the
+    /// [`BatchRecommender`] value — [`crate::NetworkAwareSearch`] for the
+    /// exact deployment, [`crate::ClusteredNetworkAwareSearch`] for the
     /// space-constrained one (flagged unclustered seekers answer empty
     /// unless the engine carries a
-    /// [`ClusteredNetworkAwareSearch::with_fallback`] index) — and how it
+    /// [`crate::ClusteredNetworkAwareSearch::with_fallback`] index) — and how it
     /// runs is the [`BatchOptions`]: threads, scratch reuse, and, for
     /// latency-bounded serving, a [`BatchOptions::deadline`] budget. When
     /// the budget expires mid-batch the remaining seekers get the defined
@@ -129,56 +126,6 @@ impl InformationDiscoverer {
         opts: BatchOptions<'_>,
     ) -> Vec<Vec<Recommendation>> {
         engine.recommend_batch_opts(seekers, &tokenize(text), self.limit, opts)
-    }
-
-    /// Deprecated spelling of exact-engine batched discovery.
-    #[deprecated(since = "0.1.0", note = "use `discover_opts` with `BatchOptions::new().exec(..)`")]
-    pub fn discover_batch(
-        &self,
-        exec: &Exec,
-        search: &NetworkAwareSearch,
-        seekers: &[NodeId],
-        text: &str,
-    ) -> Vec<Vec<Recommendation>> {
-        self.discover_opts(search, seekers, text, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of exact-engine batched discovery under
-    /// caller-chosen options.
-    #[deprecated(since = "0.1.0", note = "use `discover_opts`")]
-    pub fn discover_batch_opts(
-        &self,
-        search: &NetworkAwareSearch,
-        seekers: &[NodeId],
-        text: &str,
-        opts: BatchOptions<'_>,
-    ) -> Vec<Vec<Recommendation>> {
-        self.discover_opts(search, seekers, text, opts)
-    }
-
-    /// Deprecated spelling of clustered-engine batched discovery.
-    #[deprecated(since = "0.1.0", note = "use `discover_opts` with `BatchOptions::new().exec(..)`")]
-    pub fn discover_batch_clustered(
-        &self,
-        exec: &Exec,
-        search: &ClusteredNetworkAwareSearch,
-        seekers: &[NodeId],
-        text: &str,
-    ) -> Vec<Vec<Recommendation>> {
-        self.discover_opts(search, seekers, text, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of clustered-engine batched discovery under
-    /// caller-chosen options.
-    #[deprecated(since = "0.1.0", note = "use `discover_opts`")]
-    pub fn discover_batch_clustered_opts(
-        &self,
-        search: &ClusteredNetworkAwareSearch,
-        seekers: &[NodeId],
-        text: &str,
-        opts: BatchOptions<'_>,
-    ) -> Vec<Vec<Recommendation>> {
-        self.discover_opts(search, seekers, text, opts)
     }
 
     /// Build the provenance sub-graph of a ranked result set.
@@ -347,41 +294,6 @@ mod tests {
                     .map(|r| Recommendation { strategy: "network-aware", ..r })
                     .collect::<Vec<_>>())
                 .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_batch_wrappers_match_discover_opts() {
-        let mut b = GraphBuilder::new();
-        let users: Vec<NodeId> = (0..4).map(|i| b.add_user(&format!("u{i}"))).collect();
-        let items: Vec<NodeId> =
-            (0..3).map(|i| b.add_item(&format!("i{i}"), &["destination"])).collect();
-        b.befriend(users[0], users[1]);
-        b.befriend(users[2], users[3]);
-        b.tag(users[1], items[0], &["baseball"]);
-        b.tag(users[3], items[1], &["museum", "baseball"]);
-        let graph = b.build();
-        let discoverer = InformationDiscoverer { limit: 2, ..InformationDiscoverer::default() };
-        let exact = NetworkAwareSearch::build(&graph);
-        let clustered = ClusteredNetworkAwareSearch::build_default(&graph);
-        let exec = socialscope_exec::Exec::sequential();
-        let text = "baseball museum";
-        assert_eq!(
-            discoverer.discover_batch(&exec, &exact, &users, text),
-            discoverer.discover_opts(&exact, &users, text, BatchOptions::new().exec(&exec)),
-        );
-        assert_eq!(
-            discoverer.discover_batch_opts(&exact, &users, text, BatchOptions::new()),
-            discoverer.discover_opts(&exact, &users, text, BatchOptions::new()),
-        );
-        assert_eq!(
-            discoverer.discover_batch_clustered(&exec, &clustered, &users, text),
-            discoverer.discover_opts(&clustered, &users, text, BatchOptions::new().exec(&exec)),
-        );
-        assert_eq!(
-            discoverer.discover_batch_clustered_opts(&clustered, &users, text, BatchOptions::new()),
-            discoverer.discover_opts(&clustered, &users, text, BatchOptions::new()),
         );
     }
 

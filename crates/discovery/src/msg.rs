@@ -6,11 +6,10 @@
 //! that made them relevant (their social provenance), and the ranked scores.
 //! The presentation layer consumes this structure to group, rank and explain.
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{NodeId, SocialGraph};
 
 /// One ranked result within a meaningful social graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedItem {
     /// The item node.
     pub item: NodeId,
@@ -24,7 +23,7 @@ pub struct RankedItem {
 
 /// The semantically and socially relevant sub-graph for a user and query,
 /// with the ranked items and the provenance needed for explanations.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MeaningfulSocialGraph {
     /// The querying user, when known.
     pub user: Option<NodeId>,

@@ -8,12 +8,11 @@
 //! social relevance apply; when the whole query is empty only social
 //! relevance applies.
 
-use serde::{Deserialize, Serialize};
 use socialscope_algebra::{Condition, StructuralCondition};
 use socialscope_graph::{NodeId, Value};
 
 /// A user query against a social content site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UserQuery {
     /// The user asking (anonymous queries carry `None` and receive no social
     /// relevance).

@@ -10,7 +10,6 @@
 //!   ([`pattern_plan`]).
 
 use crate::recommend::Recommendation;
-use serde::{Deserialize, Serialize};
 use socialscope_algebra::compose::Side;
 use socialscope_algebra::condition::Comparison;
 use socialscope_algebra::prelude::*;
@@ -18,7 +17,7 @@ use socialscope_graph::{NodeId, SocialGraph, Value};
 use std::sync::Arc;
 
 /// Configuration of the collaborative-filtering pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CfConfig {
     /// Similarity threshold above which another user joins the similarity
     /// network (the paper uses 0.5 in Example 5).

@@ -55,7 +55,6 @@ mod batch_recommender_tests {
     }
 }
 
-use serde::{Deserialize, Serialize};
 use socialscope_content::BatchOptions;
 use socialscope_graph::{NodeId, SocialGraph};
 
@@ -85,7 +84,7 @@ pub trait BatchRecommender {
 }
 
 /// A scored recommendation of an item to a user.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recommendation {
     /// The recommended item.
     pub item: NodeId,

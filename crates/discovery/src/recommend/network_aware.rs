@@ -16,9 +16,9 @@
 
 use super::Recommendation;
 use socialscope_content::{
-    ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex,
-    ClusteredQueryReport, ClusteringStrategy, ExactIndex, MemoryProfile, NetworkBasedClustering,
-    Result as ContentResult, SiteModel, TagEvent, TopKResult,
+    ApplyReport, BatchOptions, ClusteredIndex, ClusteredQueryReport, ClusteringStrategy,
+    ExactIndex, MemoryProfile, NetworkBasedClustering, Result as ContentResult, SiteModel,
+    TagEvent, TopKResult,
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{NodeId, SocialGraph};
@@ -117,8 +117,7 @@ impl NetworkAwareSearch {
     /// reused across the batch, and users are visited in index-layout
     /// order. Results arrive in input order, each identical to the
     /// corresponding [`Self::query`] call; [`BatchOptions`] chooses
-    /// threads and scratch reuse (and carries the migration table from the
-    /// retired `query_batch` method matrix).
+    /// threads and scratch reuse.
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -142,85 +141,6 @@ impl NetworkAwareSearch {
             .into_iter()
             .map(Self::to_recommendations)
             .collect()
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(&self, users: &[NodeId], keywords: &[String], k: usize) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().scratch(scratch))
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<TopKResult> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec).scratch_pool(pool))
-    }
-
-    /// Deprecated spelling of the default batched recommendation path.
-    #[deprecated(since = "0.1.0", note = "use `recommend_batch_opts` with `BatchOptions::new()`")]
-    pub fn recommend_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the multi-threaded batched recommendation
-    /// path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `recommend_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn recommend_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
     }
 
     fn to_recommendations(result: TopKResult) -> Vec<Recommendation> {
@@ -418,9 +338,8 @@ impl ClusteredNetworkAwareSearch {
     /// Raw clustered top-k for a batch of seekers sharing one keyword set;
     /// results arrive in input order, each identical to the corresponding
     /// [`Self::query`] call (fallback-served unclustered members
-    /// included). [`BatchOptions`] chooses threads and scratch reuse (and
-    /// carries the migration table from the retired `query_batch` method
-    /// matrix); the fallback sub-batch runs under the *same* options —
+    /// included). [`BatchOptions`] chooses threads and scratch reuse; the
+    /// fallback sub-batch runs under the *same* options —
     /// same `Exec`, same scratch or pool — so a sequential entry point
     /// never spawns threads and a pinned pool is reused, not reallocated.
     pub fn query_batch_opts(
@@ -436,63 +355,6 @@ impl ClusteredNetworkAwareSearch {
             exact.query_batch_opts(seekers, keywords, k, opts)
         });
         reports
-    }
-
-    /// Deprecated spelling of the default batch entry point.
-    #[deprecated(since = "0.1.0", note = "use `query_batch_opts` with `BatchOptions::new()`")]
-    pub fn query_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the sequential scratch-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().scratch(..)`"
-    )]
-    pub fn query_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().scratch(scratch))
-    }
-
-    /// Deprecated spelling of the multi-threaded batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn query_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
-    /// Deprecated spelling of the multi-threaded pool-reusing batch path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `query_batch_opts` with `BatchOptions::new().exec(..).scratch_pool(..)`"
-    )]
-    pub fn query_batch_par_with(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<ClusteredQueryReport> {
-        self.query_batch_opts(users, keywords, k, BatchOptions::new().exec(exec).scratch_pool(pool))
     }
 
     /// Re-answer every flagged (unclustered) report from the fallback
@@ -543,33 +405,6 @@ impl ClusteredNetworkAwareSearch {
             .collect()
     }
 
-    /// Deprecated spelling of the default batched recommendation path.
-    #[deprecated(since = "0.1.0", note = "use `recommend_batch_opts` with `BatchOptions::new()`")]
-    pub fn recommend_batch(
-        &self,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new())
-    }
-
-    /// Deprecated spelling of the multi-threaded batched recommendation
-    /// path.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `recommend_batch_opts` with `BatchOptions::new().exec(..)`"
-    )]
-    pub fn recommend_batch_par(
-        &self,
-        exec: &Exec,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-    ) -> Vec<Vec<Recommendation>> {
-        self.recommend_batch_opts(users, keywords, k, BatchOptions::new().exec(exec))
-    }
-
     fn to_recommendations(report: ClusteredQueryReport) -> Vec<Recommendation> {
         report
             .result
@@ -613,6 +448,7 @@ impl super::BatchRecommender for ClusteredNetworkAwareSearch {
 mod tests {
     use super::*;
     use socialscope_content::topk::top_k_exhaustive;
+    use socialscope_content::{BatchScratch, BatchScratchPool};
     use socialscope_graph::GraphBuilder;
 
     /// Two friends tag different items; a stranger tags a third.
@@ -863,8 +699,15 @@ mod tests {
 
             let par =
                 clustered.query_batch_opts(&batch, &keywords, 3, BatchOptions::new().exec(&exec));
+            let par_with = clustered.query_batch_opts(
+                &batch,
+                &keywords,
+                3,
+                BatchOptions::new().exec(&exec).scratch_pool(&mut pool),
+            );
             let sequential = clustered.query_batch_opts(&batch, &keywords, 3, BatchOptions::new());
             assert_eq!(par, sequential, "clustered threads {threads}");
+            assert_eq!(par_with, sequential, "clustered threads {threads} (pool)");
             let recs = clustered.recommend_batch_opts(
                 &batch,
                 &keywords,
@@ -950,39 +793,5 @@ mod tests {
         // answers served from real bounds, no rebuild anywhere.
         assert!(clustered.index().clustering.cluster_of(late).is_some());
         assert!(!clustered.query(late, &keywords, 3).unclustered);
-    }
-
-    /// The deprecated engine wrappers are pure aliases of the `_opts`
-    /// entry points.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_engine_wrappers_match_opts() {
-        let (graph, users, _) = site();
-        let exact = NetworkAwareSearch::build(&graph);
-        let clustered = ClusteredNetworkAwareSearch::build_default(&graph);
-        let keywords = vec!["baseball".to_string(), "museum".to_string()];
-        let batch = vec![users[2], NodeId(9999), users[0], users[0], users[3]];
-        let exec = Exec::new(2).unwrap();
-        let mut scratch = BatchScratch::default();
-        let mut pool = BatchScratchPool::default();
-        let exact_want = exact.query_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(exact.query_batch(&batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_with(&mut scratch, &batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_par(&exec, &batch, &keywords, 3), exact_want);
-        assert_eq!(exact.query_batch_par_with(&exec, &mut pool, &batch, &keywords, 3), exact_want);
-        let recs_want = exact.recommend_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(exact.recommend_batch(&batch, &keywords, 3), recs_want);
-        assert_eq!(exact.recommend_batch_par(&exec, &batch, &keywords, 3), recs_want);
-        let clustered_want = clustered.query_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(clustered.query_batch(&batch, &keywords, 3), clustered_want);
-        assert_eq!(clustered.query_batch_with(&mut scratch, &batch, &keywords, 3), clustered_want);
-        assert_eq!(clustered.query_batch_par(&exec, &batch, &keywords, 3), clustered_want);
-        assert_eq!(
-            clustered.query_batch_par_with(&exec, &mut pool, &batch, &keywords, 3),
-            clustered_want
-        );
-        let recs_want = clustered.recommend_batch_opts(&batch, &keywords, 3, BatchOptions::new());
-        assert_eq!(clustered.recommend_batch(&batch, &keywords, 3), recs_want);
-        assert_eq!(clustered.recommend_batch_par(&exec, &batch, &keywords, 3), recs_want);
     }
 }

@@ -10,12 +10,11 @@
 //! for anonymous queries and to pure social relevance for empty queries.
 
 use crate::query::UserQuery;
-use serde::{Deserialize, Serialize};
 use socialscope_algebra::{Condition, Scoring, TfIdfScoring};
 use socialscope_graph::{Node, SocialGraph};
 
 /// The mixing weight between semantic and social relevance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RelevanceWeights {
     /// Weight of semantic relevance; social relevance receives `1 - alpha`.
     pub alpha: f64,

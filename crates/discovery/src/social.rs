@@ -5,13 +5,12 @@
 //! and — when the user's own network is uninformative for the query, as in
 //! Example 2 — the activities of topic experts.
 
-use serde::{Deserialize, Serialize};
 use socialscope_content::SiteModel;
 use socialscope_graph::{HasAttrs, NodeId, SocialGraph};
 use std::collections::BTreeSet;
 
 /// Social relevance scorer over a social content graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SocialRelevance {
     site: SiteModel,
     /// Weight of the user's own past activity on the item (vs. network

@@ -37,6 +37,7 @@ fn site() -> (SocialGraph, Vec<NodeId>, Vec<NodeId>) {
 
 #[test]
 fn a_fault_anywhere_in_an_engine_apply_leaves_no_tear() {
+    let scenario = FailScenario::setup();
     let (graph, users, items) = site();
     let exec = Exec::new(2).unwrap();
     let exact0 = NetworkAwareSearch::build(&graph);
@@ -48,7 +49,6 @@ fn a_fault_anywhere_in_an_engine_apply_leaves_no_tear() {
     ];
     let keywords = vec!["baseball".to_string(), "museum".to_string()];
 
-    let scenario = FailScenario::setup();
     for &fp in faults::APPLY_SITES {
         scenario.arm(fp, FailAction::Fault { after: 0 });
 
@@ -106,6 +106,7 @@ fn a_fault_anywhere_in_an_engine_apply_leaves_no_tear() {
 
 #[test]
 fn a_deadline_expiry_reaches_the_discoverer_as_empty_recommendations() {
+    let scenario = FailScenario::setup();
     let (graph, users, _) = site();
     let discoverer = InformationDiscoverer { limit: 3, ..InformationDiscoverer::default() };
     let exact = NetworkAwareSearch::build(&graph);
@@ -119,7 +120,6 @@ fn a_deadline_expiry_reaches_the_discoverer_as_empty_recommendations() {
     let users: Vec<NodeId> = users.iter().cycle().take(40).copied().collect();
     let unbounded = discoverer.discover_opts(&exact, &users, text, BatchOptions::new().exec(&exec));
 
-    let scenario = FailScenario::setup();
     // Expiry forced from the very first cooperative check: every seeker
     // gets the defined degraded answer — an empty recommendation list.
     scenario.arm(faults::DEADLINE, FailAction::Fault { after: 0 });
@@ -180,6 +180,7 @@ proptest! {
         theta in 0.1f64..0.9,
         threads in 1usize..4,
     ) {
+        let scenario = FailScenario::setup();
         let case = fixture(&inputs, &raw, STRATEGIES[strategy], theta);
         let exec = Exec::new(threads).unwrap();
         let mut want_clustered = case.clustered.clone();
@@ -189,7 +190,6 @@ proptest! {
         let want_clustered = without_stamps(format!("{want_clustered:?}"));
         let want_exact = format!("{want_exact:?}");
 
-        let scenario = FailScenario::setup();
         for &fp in faults::APPLY_SITES {
             scenario.arm(fp, FailAction::Fault { after: 0 });
             // Every registered site is on the clustered engine's path.

@@ -1,10 +1,7 @@
-//! Property-based equivalence of the unified batched-discovery surface:
-//! on random sites, seeker sets, and query texts, `discover_opts` answers
-//! element-wise identically to the deprecated quartet it replaced — over
-//! both engines, every thread count, and with/without caller scratch —
-//! so migrating a caller is a pure spelling change.
-
-#![allow(deprecated)]
+//! Property-based checks of the unified batched-discovery surface: on
+//! random sites, seeker sets and query texts, `discover_opts` answers
+//! identically over both engines whether the caller threads a warm
+//! scratch pool through it or lets each call allocate its own.
 
 use proptest::prelude::*;
 use socialscope_content::{BatchOptions, BatchScratchPool};
@@ -56,49 +53,6 @@ fn build_site(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The deprecated quartet is a pure spelling change over
-    /// `discover_opts`: identical output, engine by engine, for every
-    /// thread count (including an unknown seeker in the set).
-    #[test]
-    fn deprecated_quartet_is_equivalent_to_discover_opts(
-        (users, items, fr, tg) in (3usize..8, 3usize..8,
-            prop::collection::vec((0usize..8, 0usize..8), 1..20),
-            prop::collection::vec((0usize..8, 0usize..8, 0usize..4), 1..30)),
-        text_choice in 0usize..TEXTS.len(),
-    ) {
-        let (graph, mut seekers) = build_site(users, items, &fr, &tg);
-        seekers.push(NodeId(99_999));
-        let text = TEXTS[text_choice];
-        let discoverer = InformationDiscoverer { limit: 3, ..InformationDiscoverer::default() };
-        let exact = NetworkAwareSearch::build(&graph);
-        let clustered = ClusteredNetworkAwareSearch::build_default(&graph);
-        for threads in [1usize, 2, 7] {
-            let exec = Exec::new(threads).unwrap();
-            let want_exact =
-                discoverer.discover_opts(&exact, &seekers, text, BatchOptions::new().exec(&exec));
-            prop_assert_eq!(
-                &discoverer.discover_batch(&exec, &exact, &seekers, text),
-                &want_exact
-            );
-            prop_assert_eq!(
-                &discoverer.discover_batch_opts(
-                    &exact, &seekers, text, BatchOptions::new().exec(&exec)),
-                &want_exact
-            );
-            let want_clustered = discoverer
-                .discover_opts(&clustered, &seekers, text, BatchOptions::new().exec(&exec));
-            prop_assert_eq!(
-                &discoverer.discover_batch_clustered(&exec, &clustered, &seekers, text),
-                &want_clustered
-            );
-            prop_assert_eq!(
-                &discoverer.discover_batch_clustered_opts(
-                    &clustered, &seekers, text, BatchOptions::new().exec(&exec)),
-                &want_clustered
-            );
-        }
-    }
 
     /// `discover_opts` is insensitive to scratch reuse: a warm
     /// [`BatchScratchPool`] carried across calls answers identically to

@@ -3,7 +3,6 @@
 //! treats both uniformly.
 
 use crate::value::{Scalar, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 ///
 /// A `BTreeMap` keeps iteration deterministic, which matters both for
 /// reproducible experiments and for stable test expectations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AttrMap {
     map: BTreeMap<String, Value>,
 }

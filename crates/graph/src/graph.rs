@@ -7,7 +7,6 @@ use crate::id::{IdGen, LinkId, NodeId};
 use crate::link::Link;
 use crate::node::Node;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// An instance of a social content site: nodes, links, and adjacency
@@ -21,7 +20,7 @@ use std::collections::BTreeSet;
 ///   endpoints are missing is an error, and operators that select links
 ///   (Link Selection, Semi-Join, Composition) always output the sub-graph
 ///   *induced* by the selected links.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SocialGraph {
     nodes: FxHashMap<NodeId, Node>,
     links: FxHashMap<LinkId, Link>,

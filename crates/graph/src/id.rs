@@ -5,19 +5,14 @@
 //! which is why graph isomorphism never arises: two graphs derived from the
 //! same site share the id space of that site.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node in a social content graph.
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(pub u64);
 
 /// Identifier of a link in a social content graph.
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize, Default,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct LinkId(pub u64);
 
 impl NodeId {
@@ -68,7 +63,7 @@ impl From<u64> for LinkId {
 /// collide as long as the offsets are chosen from disjoint ranges; the
 /// algebra uses [`IdGen::starting_after`] seeded with the maximum id present
 /// in its input graphs.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IdGen {
     next_node: u64,
     next_link: u64,

@@ -4,12 +4,11 @@ use crate::attrs::{AttrMap, HasAttrs};
 use crate::id::{LinkId, NodeId};
 use crate::types::TYPE_ATTR;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which endpoint of a link a directional condition refers to
 /// (`d = src | tgt`, paper §5.3–5.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// The source endpoint of the link.
     Src,
@@ -39,7 +38,7 @@ impl fmt::Display for Direction {
 /// A link: a connection or activity between two entities (paper §4), e.g.
 /// a friendship, a tagging action with its tags and date, a visit, a derived
 /// `match` similarity link, or a `belong` topic-membership link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     /// Unique link identifier within the social content site.
     pub id: LinkId,

@@ -4,7 +4,6 @@ use crate::attrs::{AttrMap, HasAttrs};
 use crate::id::NodeId;
 use crate::types::TYPE_ATTR;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A node: a physical or abstract entity — a user, an item (destination,
@@ -13,7 +12,7 @@ use std::fmt;
 /// A node carries a unique [`NodeId`], a schema-less [`AttrMap`] with the
 /// mandatory multi-valued `type` attribute, and an optional relevance score
 /// attached by a scoring function during selection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// Unique node identifier within the social content site.
     pub id: NodeId,

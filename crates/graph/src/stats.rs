@@ -9,11 +9,10 @@ use crate::graph::SocialGraph;
 use crate::hash::FxHashMap;
 use crate::id::NodeId;
 use crate::types;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Summary statistics of a social content graph.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
     /// Total number of nodes.
     pub nodes: usize,

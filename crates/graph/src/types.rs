@@ -7,7 +7,6 @@
 //! appear in the paper's examples; [`TypeCatalog`] tracks the catalog as
 //! content analysis derives new types at runtime.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Name of the mandatory type attribute carried by every node and link.
@@ -56,7 +55,7 @@ pub const LINK_RATING: &str = "rating";
 pub const LINK_USER_FRIEND_ITEM: &str = "user_friend_item";
 
 /// Which of the two element kinds a registered type applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TypeKind {
     /// A node type.
     Node,
@@ -69,7 +68,7 @@ pub enum TypeKind {
 /// The catalog starts with the paper's basic types and records, for link
 /// types, the *category* they refine (`connect`, `act`, `match`, `belong`).
 /// Content analysis (e.g. topic derivation) registers new types at runtime.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeCatalog {
     node_types: BTreeSet<String>,
     link_types: BTreeMap<String, String>,

@@ -7,7 +7,6 @@
 //! checks that the node's (or link's) value set is a *superset* of
 //! `{v1,…,vk}` (paper Def. 1).
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -16,7 +15,7 @@ use std::hash::{Hash, Hasher};
 ///
 /// Floats are wrapped with total ordering (`f64::total_cmp`) so scalars can
 /// live in ordered sets and be compared deterministically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Scalar {
     /// A string value (the most common case: names, tags, keywords).
     Str(String),
@@ -179,7 +178,7 @@ impl From<bool> for Scalar {
 
 /// A multi-valued attribute value: an ordered list of scalars with set
 /// semantics for condition satisfaction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Value {
     values: Vec<Scalar>,
 }

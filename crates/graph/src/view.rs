@@ -9,10 +9,9 @@ use crate::attrs::HasAttrs;
 use crate::graph::SocialGraph;
 use crate::link::Link;
 use crate::types;
-use serde::{Deserialize, Serialize};
 
 /// Which overlay of the social content graph to extract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverlayKind {
     /// Users' activities on items (`act` links: tag, review, click, visit, …).
     Activity,

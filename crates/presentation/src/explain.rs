@@ -12,13 +12,12 @@
 //! * group explanations: an aggregation of the member items' explanations.
 
 use crate::grouping::ItemGroup;
-use serde::{Deserialize, Serialize};
 use socialscope_discovery::recommend::item_cf::item_similarity;
 use socialscope_graph::{HasAttrs, NodeId, SocialGraph};
 use std::collections::BTreeSet;
 
 /// One weighted element of an explanation (an item or a user).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplanationEntry {
     /// The explaining node (an item for content-based, a user for CF).
     pub node: NodeId,
@@ -27,7 +26,7 @@ pub struct ExplanationEntry {
 }
 
 /// An explanation of a recommended item (or of a group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Explanation {
     /// The explained item, when item-level (None for group explanations).
     pub item: Option<NodeId>,

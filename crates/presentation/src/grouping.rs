@@ -1,11 +1,10 @@
 //! Result grouping (paper §7.1).
 
-use serde::{Deserialize, Serialize};
 use socialscope_graph::{HasAttrs, NodeId, SocialGraph};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A group of result items with a human-readable label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ItemGroup {
     /// Display label (an attribute value, a topic label, or a social anchor).
     pub label: String,
@@ -25,7 +24,7 @@ impl ItemGroup {
 }
 
 /// Which grouping mechanism to apply.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GroupingStrategy {
     /// Social grouping (Def. 14) at a Jaccard threshold θ.
     Social {

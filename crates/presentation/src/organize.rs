@@ -2,13 +2,12 @@
 //! ranking (paper §7.1): the Information Organizer and Result Selector.
 
 use crate::grouping::{group_items, GroupingStrategy, ItemGroup};
-use serde::{Deserialize, Serialize};
 use socialscope_discovery::MeaningfulSocialGraph;
 use socialscope_graph::SocialGraph;
 
 /// The meaningfulness criteria of §7.1 for one grouping: number of groups,
 /// average group quality (relevance of members) and group sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupMeaningfulness {
     /// Number of groups produced.
     pub group_count: usize,
@@ -21,7 +20,7 @@ pub struct GroupMeaningfulness {
 }
 
 /// A fully organized result presentation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Presentation {
     /// The strategy used.
     pub strategy: GroupingStrategy,
@@ -33,7 +32,7 @@ pub struct Presentation {
 
 /// The Information Organizer: turns a Meaningful Social Graph into grouped,
 /// ranked presentations and decides which grouping is most meaningful.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InformationOrganizer {
     /// Maximum number of groups that fit the screen.
     pub max_groups: usize,

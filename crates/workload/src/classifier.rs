@@ -7,11 +7,10 @@
 //! vocabulary; running it over a generated query log regenerates the table.
 
 use crate::travel::{CATEGORICAL_TERMS, GENERAL_TERMS, LOCATIONS, SPECIFIC_DESTINATIONS};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The query classes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QueryClass {
     /// "things to do", "attraction", or a bare location.
     General,
@@ -36,7 +35,7 @@ impl std::fmt::Display for QueryClass {
 
 /// Classification of a single query: its class and whether it mentions a
 /// location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Classified {
     /// The query class.
     pub class: QueryClass,
@@ -73,7 +72,7 @@ pub fn classify_query(query: &str) -> Classified {
 }
 
 /// Aggregated class × location counts: the data behind Table 1.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassCounts {
     counts: BTreeMap<(QueryClass, bool), usize>,
     total: usize,

@@ -1,9 +1,7 @@
 //! Configuration of the synthetic social content site.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the synthetic Y!Travel-style site.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteConfig {
     /// Number of users.
     pub users: usize,

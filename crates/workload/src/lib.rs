@@ -4,9 +4,8 @@
 //! reproduce the SocialScope (CIDR 2009) experiments.
 //!
 //! The paper's evidence rests on data we cannot access (10 million real
-//! Y!Travel queries, Yahoo!'s production graphs); per the substitution
-//! policy in `DESIGN.md`, this crate builds the closest synthetic
-//! equivalents:
+//! Y!Travel queries, Yahoo!'s production graphs), so this crate builds
+//! the closest synthetic equivalents:
 //!
 //! * [`generator`] — a Y!Travel-style social content graph: users with
 //!   small-world friendship structure (Watts–Strogatz rewiring, after the

@@ -11,11 +11,10 @@ use crate::travel::{CATEGORICAL_TERMS, GENERAL_TERMS, LOCATIONS, SPECIFIC_DESTIN
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The target class × location mixture (fractions summing to ≤ 1; the rest
 /// is generated as unclassifiable noise).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryMixture {
     /// General queries mentioning a location.
     pub general_with_location: f64,
@@ -56,7 +55,7 @@ impl QueryMixture {
 }
 
 /// Configuration of the query-log generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryLogConfig {
     /// Number of queries to generate.
     pub queries: usize,

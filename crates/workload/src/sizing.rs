@@ -8,10 +8,8 @@
 //! experiment E4 can print paper-vs-model numbers and E5 can relate the
 //! analytic model to measured index sizes on generated sites.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the sizing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexSizingModel {
     /// Number of users.
     pub users: u64,
@@ -58,7 +56,7 @@ impl IndexSizingModel {
 }
 
 /// The estimate produced by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SizingEstimate {
     /// Estimated number of index entries for the exact per-(tag, user) index.
     pub exact_entries: f64,

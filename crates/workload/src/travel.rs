@@ -8,8 +8,6 @@
 //! destination names ("Disneyland", "Yosemite Park"). This module is that
 //! domain knowledge for the synthetic site.
 
-use serde::{Deserialize, Serialize};
-
 /// Location names (cities / regions) recognized by the classifier.
 pub const LOCATIONS: &[&str] = &[
     "denver",
@@ -108,7 +106,7 @@ pub const ACTIVITY_TAGS: &[&str] = &[
 ];
 
 /// The travel vocabulary bundled for convenience.
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TravelVocabulary;
 
 impl TravelVocabulary {
