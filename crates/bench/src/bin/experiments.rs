@@ -59,9 +59,8 @@ use socialscope_content::models::all_models;
 use socialscope_content::wire::{ApplyRequest, QueryRequest, QueryResponse};
 use socialscope_content::TagEvent;
 use socialscope_content::{
-    BatchOptions, BatchScratch, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex,
-    ClusteringStrategy, ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel,
-    UserJourney,
+    BatchOptions, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy,
+    ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel, UserJourney,
 };
 use socialscope_discovery::recommend::algebra_cf::{example5_pipeline, CfConfig};
 use socialscope_discovery::ClusteredNetworkAwareSearch;
@@ -665,7 +664,10 @@ const THETA: f64 = 0.3;
 /// The clustered index the sweeps measure: network-based clustering at
 /// [`THETA`], then the index build on `exec`.
 fn clustered_index(exec: &Exec, model: &SiteModel) -> ClusteredIndex {
-    ClusteredIndex::build_with(exec, model, NetworkBasedClustering.cluster(model, THETA))
+    ClusteredIndex::builder(model)
+        .exec(exec)
+        .clustering(NetworkBasedClustering.cluster(model, THETA))
+        .build()
 }
 
 /// The two index engines the serving sweeps measure side by side.
@@ -702,7 +704,7 @@ impl Fixture {
         let site = site_at_scale(scale);
         let model = SiteModel::from_graph(&site.graph);
         let sequential = Exec::sequential();
-        let exact = ExactIndex::build_with(&sequential, &model);
+        let exact = ExactIndex::builder(&model).exec(&sequential).build();
         let clustered = clustered_index(&sequential, &model);
         Fixture { site, model, exact, clustered }
     }
@@ -1148,9 +1150,10 @@ fn batch_sweep(args: &[String]) {
             for engine in ENGINES {
                 let wall_ms_loop =
                     best_of_three(reps, || fx.serve_singles(engine, queries, &batches, k));
-                let mut scratch = BatchScratch::default();
+                let mut pool = BatchScratchPool::default();
                 let wall_ms_batch = best_of_three(reps, || {
-                    let opts = BatchOptions::new().scratch(&mut scratch);
+                    let opts =
+                        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool);
                     fx.serve_batches(engine, queries, &batches, k, opts);
                 });
                 let row = BatchRow {
@@ -1288,7 +1291,7 @@ fn parallel_sweep(args: &[String]) {
     let mut build_rows: Vec<String> = Vec::new();
     println!("{:<10} {:>8} {:>16} {:>16}", "build", "threads", "exact (ms)", "clustered (ms)");
     for (threads, exec) in &execs {
-        let parallel_exact = ExactIndex::build_with(exec, &fx.model);
+        let parallel_exact = ExactIndex::builder(&fx.model).exec(exec).build();
         assert_eq!(parallel_exact.stats(), fx.exact.stats(), "parallel exact build diverged");
         assert_eq!(
             clustered_index(exec, &fx.model).stats_with_refinement(),
@@ -1296,7 +1299,7 @@ fn parallel_sweep(args: &[String]) {
             "parallel clustered build diverged"
         );
         let exact_ms = best_of_three(1, || {
-            black_box(ExactIndex::build_with(exec, &fx.model).stats().entries);
+            black_box(ExactIndex::builder(&fx.model).exec(exec).build().stats().entries);
         });
         let clustered_ms = best_of_three(1, || {
             black_box(clustered_index(exec, &fx.model).stats().entries);
@@ -1420,10 +1423,10 @@ impl UpdateRow {
 /// E11 — live index maintenance: for each event-batch size in
 /// [`UPDATE_FRACTIONS`] (fractions of the site's assignment volume), a
 /// deterministic tag-event stream (Zipf-skewed assigns mixed with retracts
-/// of live assignments) is absorbed two ways — `*Index::apply` patching
+/// of live assignments) is absorbed two ways — `*Index::try_apply_with` patching
 /// pre-cloned indexes in place, versus rebuilding the index from scratch.
 /// Both strategies start from the already-updated site model (the
-/// `SiteModel::apply` cost is common to both, so it stays outside the
+/// `SiteModel::try_apply` cost is common to both, so it stays outside the
 /// timed region), and the wall-time ratio is the measured maintenance
 /// gain. Before anything is timed, the
 /// maintained index is asserted identical to the rebuilt one (stats plus a
@@ -1460,17 +1463,19 @@ fn update_sweep(args: &[String]) {
             },
         );
         let mut updated = fx.model.clone();
-        let effective = updated.apply(&events);
+        let effective = updated.try_apply(&events).expect("site apply");
         assert!(effective > 0, "event stream must touch the site");
 
         // Delta ≡ rebuild, asserted on the measured workload before any
         // timing: stats plus a full-population query sweep per index.
         let mut maintained_exact = fx.exact.clone();
-        let exact_report = maintained_exact.apply(&updated, &events);
-        let rebuilt_exact = ExactIndex::build_with(&auto, &updated);
+        let exact_report =
+            maintained_exact.try_apply_with(&auto, &updated, &events).expect("exact apply");
+        let rebuilt_exact = ExactIndex::builder(&updated).exec(&auto).build();
         assert_eq!(maintained_exact.stats(), rebuilt_exact.stats(), "exact delta diverged");
         let mut maintained_clustered = fx.clustered.clone();
-        let clustered_report = maintained_clustered.apply(&updated, &events);
+        let clustered_report =
+            maintained_clustered.try_apply_with(&auto, &updated, &events).expect("clustered apply");
         let rebuilt_clustered = clustered_index(&auto, &updated);
         assert_eq!(
             maintained_clustered.stats_with_refinement(),
@@ -1498,10 +1503,10 @@ fn update_sweep(args: &[String]) {
         let mut exact_pool: Vec<ExactIndex> = (0..3 * reps).map(|_| fx.exact.clone()).collect();
         let wall_ms_apply = best_of_three(reps, || {
             let mut ix = exact_pool.pop().expect("clone pool sized to 3 × reps");
-            black_box(ix.apply(&updated, &events).changed_entries);
+            black_box(ix.try_apply_with(&auto, &updated, &events).expect("apply").changed_entries);
         });
         let wall_ms_rebuild = best_of_three(reps, || {
-            black_box(ExactIndex::build_with(&auto, &updated).stats().entries);
+            black_box(ExactIndex::builder(&updated).exec(&auto).build().stats().entries);
         });
         rows.push(UpdateRow {
             index: "exact",
@@ -1516,7 +1521,7 @@ fn update_sweep(args: &[String]) {
             (0..3 * reps).map(|_| fx.clustered.clone()).collect();
         let wall_ms_apply = best_of_three(reps, || {
             let mut ix = clustered_pool.pop().expect("clone pool sized to 3 × reps");
-            black_box(ix.apply(&updated, &events).changed_entries);
+            black_box(ix.try_apply_with(&auto, &updated, &events).expect("apply").changed_entries);
         });
         let wall_ms_rebuild = best_of_three(reps, || {
             black_box(clustered_index(&auto, &updated).stats().entries);
@@ -1728,10 +1733,11 @@ fn robustness_sweep(args: &[String]) {
         // One shared scratch for both arms: separate arenas would let
         // allocation luck (cache aliasing decided at startup) bias an
         // entire run toward one arm.
-        let scratch = std::cell::RefCell::new(BatchScratch::default());
+        let pool = std::cell::RefCell::new(BatchScratchPool::default());
         let serve = |opts: BatchOptions<'_>| {
-            let scratch = &mut *scratch.borrow_mut();
-            fx.serve_batches(engine, &queries, &batches, k, opts.scratch(scratch));
+            let pool = &mut *pool.borrow_mut();
+            let opts = opts.exec(&Exec::sequential()).scratch_pool(pool);
+            fx.serve_batches(engine, &queries, &batches, k, opts);
         };
         let (wall_ms_unbounded, wall_ms_deadline) = interleaved_best(
             15,
@@ -2313,7 +2319,7 @@ fn scale_sweep(args: &[String]) {
         // round per rep touches every layout back to back; each layout
         // keeps its best (minimum) round.
         let mut best_ms = vec![[f64::INFINITY; 3]; built.len()];
-        let mut scratch = socialscope_content::BatchScratch::default();
+        let mut pool = BatchScratchPool::default();
         for _ in 0..reps {
             for (bi, (_, exact, clustered, ..)) in built.iter().enumerate() {
                 let t = Instant::now();
@@ -2338,7 +2344,9 @@ fn scale_sweep(args: &[String]) {
                                 &probes[..batch_size],
                                 kw,
                                 k,
-                                BatchOptions::new().scratch(&mut scratch),
+                                BatchOptions::new()
+                                    .exec(&Exec::sequential())
+                                    .scratch_pool(&mut pool),
                             )
                             .len(),
                     );

@@ -15,7 +15,7 @@
 
 use socialscope_bench::{site_at_scale, standard_keywords};
 use socialscope_content::{
-    BatchOptions, BatchScratch, BatchScratchPool, ClusteredIndex, ClusteringStrategy, ExactIndex,
+    BatchOptions, BatchScratchPool, ClusteredIndex, ClusteringStrategy, ExactIndex,
     NetworkBasedClustering, SiteModel,
 };
 use socialscope_exec::Exec;
@@ -90,9 +90,11 @@ fn e8_counters_are_unchanged_under_four_threads() {
     let model = SiteModel::from_graph(&site.graph);
     let keywords = standard_keywords();
     let exec = Exec::new(4).expect("positive thread count");
-    let exact = ExactIndex::build_with(&exec, &model);
-    let clustered =
-        ClusteredIndex::build_with(&exec, &model, NetworkBasedClustering.cluster(&model, 0.3));
+    let exact = ExactIndex::builder(&model).exec(&exec).build();
+    let clustered = ClusteredIndex::builder(&model)
+        .exec(&exec)
+        .clustering(NetworkBasedClustering.cluster(&model, 0.3))
+        .build();
     let users: Vec<_> = site.users.iter().copied().take(20).collect();
 
     let observed = observe_counters(&model, &exact, &clustered, &users, &keywords);
@@ -148,10 +150,14 @@ fn batch_queries_match_single_queries_at_scale_100() {
     let mut batch: Vec<NodeId> = (0..44).map(|i| site.users[i % 40]).collect();
     batch.extend([NodeId(u64::MAX), NodeId(999_999), site.users[0], site.users[0]]);
 
-    let mut scratch = BatchScratch::default();
+    let mut pool = BatchScratchPool::default();
     for k in [1usize, 5, 20] {
-        let results =
-            exact.query_batch_opts(&batch, &keywords, k, BatchOptions::new().scratch(&mut scratch));
+        let results = exact.query_batch_opts(
+            &batch,
+            &keywords,
+            k,
+            BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
+        );
         assert_eq!(results.len(), batch.len());
         for (got, &u) in results.iter().zip(&batch) {
             assert_eq!(got, &exact.query(u, &keywords, k), "exact user {u} k {k}");
@@ -161,7 +167,7 @@ fn batch_queries_match_single_queries_at_scale_100() {
             &batch,
             &keywords,
             k,
-            BatchOptions::new().scratch(&mut scratch),
+            BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
         );
         assert_eq!(reports.len(), batch.len());
         for (got, &u) in reports.iter().zip(&batch) {
@@ -176,7 +182,7 @@ fn batch_queries_match_single_queries_at_scale_100() {
         &batch,
         &keywords,
         5,
-        BatchOptions::new().scratch(&mut scratch),
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
     );
     for (got, &u) in reports.iter().zip(&batch) {
         assert_eq!(got.unclustered, !site.users.contains(&u));
@@ -190,13 +196,23 @@ fn batch_queries_match_single_queries_at_scale_100() {
     // any counter.
     let empty = socialscope_workload::keywords_of("things to do");
     assert!(empty.is_empty());
-    for res in exact.query_batch_opts(&batch, &empty, 5, BatchOptions::new().scratch(&mut scratch))
-    {
+    for res in exact.query_batch_opts(
+        &batch,
+        &empty,
+        5,
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
+    ) {
         assert!(res.ranked.is_empty());
         assert_eq!((res.sorted_accesses, res.exact_computations), (0, 0));
     }
     for (got, &u) in clustered
-        .query_batch_opts(&model, &batch, &empty, 5, BatchOptions::new().scratch(&mut scratch))
+        .query_batch_opts(
+            &model,
+            &batch,
+            &empty,
+            5,
+            BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
+        )
         .iter()
         .zip(&batch)
     {

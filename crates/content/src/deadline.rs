@@ -60,7 +60,13 @@ impl Deadline {
             return false;
         }
         let now = std::time::Instant::now();
-        let at = *self.at.get_or_insert(now + budget);
+        let Some(at) = self.at.or_else(|| now.checked_add(budget)) else {
+            // An expiry past the clock's range never comes: the budget
+            // disarms and the batch serves unbounded.
+            self.budget = None;
+            return false;
+        };
+        self.at = Some(at);
         let expired = now >= at;
         if !expired {
             self.until_check = DEADLINE_CHECK_STRIDE as u32 - 1;

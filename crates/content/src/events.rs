@@ -3,12 +3,12 @@
 //! The paper models a social content site as a continuous stream of social
 //! activity — users keep tagging (and un-tagging) items after any index
 //! snapshot is built. A [`TagEvent`] is one such action. Batches of events
-//! drive the whole delta path: [`crate::sitemodel::SiteModel::apply`]
+//! drive the whole delta path: [`crate::sitemodel::SiteModel::try_apply`]
 //! updates the frozen site primitives in place, and
-//! [`crate::index::ExactIndex::apply`] /
-//! [`crate::index::ClusteredIndex::apply`] then patch the inverted indexes
-//! to exactly the state a from-scratch rebuild would produce — without the
-//! rebuild.
+//! [`crate::index::ExactIndex::try_apply_with`] /
+//! [`crate::index::ClusteredIndex::try_apply_with`] then patch the inverted
+//! indexes to exactly the state a from-scratch rebuild would produce —
+//! without the rebuild.
 
 use socialscope_graph::NodeId;
 

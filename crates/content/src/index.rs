@@ -30,8 +30,9 @@
 //! proptested invariant), and `query_batch_opts` splits a batch by slot range
 //! (exact) / cluster group (clustered) with one scratch arena per worker,
 //! preserving the element-wise-identical-to-single-queries guarantee
-//! verbatim. `Exec::sequential()` (or a computed shard count of 1) runs the
-//! exact single-threaded code paths.
+//! verbatim. `Exec::sequential()` (or a computed shard count of 1) serves
+//! the whole batch on the caller's thread through the pool's first arena,
+//! with the same per-member walk every worker runs.
 
 use crate::cluster::{ClusterId, PlannedJoins, UserClustering};
 use crate::deadline::{Deadline, DEADLINE_CHECK_STRIDE};
@@ -116,7 +117,8 @@ fn table_bytes<K, V>(len: usize) -> usize {
 }
 
 /// What one [`TagEvent`] batch application changed, returned by
-/// [`ExactIndex::apply`] and [`ClusteredIndex::apply`]. An all-zero report
+/// [`ExactIndex::commit_apply`] and [`ClusteredIndex::commit_apply`] (and
+/// the `try_apply_with` forms that end in them). An all-zero report
 /// ([`Self::is_noop`]) means the batch was entirely redundant — duplicate
 /// assigns, retracts of absent assignments — and the index (including the
 /// clustered index's build stamp) is untouched.
@@ -221,17 +223,12 @@ fn accumulate_per_user(
 /// row).
 type UserLists = Vec<(TagId, PostingList)>;
 
-/// Reusable scratch arena for batch query evaluation: the slot-resolution
-/// buffer that orders a batch by index layout, plus the top-k evaluation
-/// state (candidate heap + seen set) threaded through every query of the
-/// batch. One arena serves any number of `query_batch_opts` calls — a
-/// serving thread keeps one per worker and pays the setup allocations
-/// once, not once per query.
+/// One worker's reusable evaluation arena inside a [`BatchScratchPool`]:
+/// the top-k evaluation state (candidate heap + seen set) threaded through
+/// every query the worker serves, plus the clustered engine's span buffer
+/// and gather cache.
 #[derive(Default)]
-pub struct BatchScratch {
-    /// `(layout key, original batch position)` pairs, sorted so the batch
-    /// walks the index in storage order.
-    order: Vec<(u32, u32)>,
+struct BatchScratch {
     /// Shared threshold-evaluation state.
     topk: TopKScratch,
     /// Cluster-span buffer for the clustered engine's per-user report.
@@ -265,29 +262,22 @@ struct GatherCache {
     spans: FxHashMap<ClusterId, Vec<u32>>,
 }
 
-/// Per-worker scratch arenas for the parallel batch paths: worker `w` owns
-/// slot `w` exclusively for the duration of a batch, and the slots persist
-/// across batches — a serving loop pays each worker's arena allocations
-/// once, exactly as [`BatchScratch`] promises for the sequential path. The
-/// slot-0 arena doubles as the sequential scratch when a batch is too small
-/// to fan out.
+/// Reusable scratch state for batch query evaluation: the slot-resolution
+/// buffer that orders a batch by index layout, plus one evaluation arena
+/// per worker. Worker `w` owns arena `w` exclusively for the duration of a
+/// batch, and the arenas persist across batches — a serving loop that
+/// passes one pool to every `query_batch_opts` call
+/// ([`BatchOptions::scratch_pool`]) pays each worker's allocations once,
+/// not once per query. A batch too small to fan out runs on the caller's
+/// thread through arena 0.
 #[derive(Default)]
 pub struct BatchScratchPool {
-    /// The slot-resolution buffer shared by the whole batch (built before
-    /// workers fan out, read-only while they run).
+    /// `(layout key, original batch position)` pairs, sorted so the batch
+    /// walks the index in storage order (built before workers fan out,
+    /// read-only while they run).
     order: Vec<(u32, u32)>,
     /// One evaluation arena per worker.
     workers: Vec<BatchScratch>,
-}
-
-impl BatchScratchPool {
-    /// The slot-0 arena (grown on first use) — the sequential fallback.
-    fn worker(&mut self) -> &mut BatchScratch {
-        if self.workers.is_empty() {
-            self.workers.push(BatchScratch::default());
-        }
-        &mut self.workers[0]
-    }
 }
 
 /// Grow a worker-arena vector to at least `shards` slots (kept across
@@ -297,13 +287,6 @@ fn grow_workers(workers: &mut Vec<BatchScratch>, shards: usize) -> &mut [BatchSc
         workers.resize_with(shards, BatchScratch::default);
     }
     &mut workers[..shards]
-}
-
-/// The caller-owned scratch state one batched query call runs through: a
-/// single sequential arena, a per-worker pool, or none (a throwaway pool).
-enum ScratchSlot<'a> {
-    Single(&'a mut BatchScratch),
-    Pool(&'a mut BatchScratchPool),
 }
 
 /// Options for one batched query call on either index.
@@ -322,9 +305,9 @@ pub struct BatchOptions<'a> {
     /// The execution context sharded serving fans out on. `None` means
     /// [`Exec::auto`].
     exec: Option<Exec>,
-    /// The scratch state to thread through the call. `None` means a
-    /// throwaway per-call pool.
-    scratch: Option<ScratchSlot<'a>>,
+    /// The caller-owned arena pool to thread through the call. `None`
+    /// means a throwaway per-call pool.
+    pool: Option<&'a mut BatchScratchPool>,
     /// Wall-clock budget for the whole batch. `None` means unbounded.
     deadline: Option<std::time::Duration>,
 }
@@ -336,27 +319,17 @@ impl<'a> BatchOptions<'a> {
         Self::default()
     }
 
-    /// Serve the batch on a caller-chosen [`Exec`] (ignored when a single
-    /// sequential scratch is also set — see [`Self::scratch`]).
+    /// Serve the batch on a caller-chosen [`Exec`]. [`Exec::sequential`]
+    /// serves every batch on the caller's thread.
     pub fn exec(mut self, exec: &Exec) -> Self {
         self.exec = Some(*exec);
-        self
-    }
-
-    /// Thread the batch through one caller-owned sequential arena. This
-    /// **forces the single-threaded path** — the sequential serving loop is
-    /// the exact code each parallel worker runs per shard, so results are
-    /// identical either way; set a [`Self::scratch_pool`] instead to reuse
-    /// arenas *and* fan out.
-    pub fn scratch(mut self, scratch: &'a mut BatchScratch) -> Self {
-        self.scratch = Some(ScratchSlot::Single(scratch));
         self
     }
 
     /// Thread the batch through a caller-owned per-worker arena pool, so a
     /// serving loop pays each worker's allocations once across batches.
     pub fn scratch_pool(mut self, pool: &'a mut BatchScratchPool) -> Self {
-        self.scratch = Some(ScratchSlot::Pool(pool));
+        self.pool = Some(pool);
         self
     }
 
@@ -378,19 +351,11 @@ impl<'a> BatchOptions<'a> {
 
     /// Borrow these options for one call without giving them up: the
     /// returned options carry the same execution choice and a reborrow of
-    /// the same scratch state. How a wrapper serves *two* batches (e.g.
+    /// the same scratch pool. How a wrapper serves *two* batches (e.g.
     /// the clustered engine's main batch plus its exact-fallback
     /// sub-batch) through one caller-provided `BatchOptions`.
     pub fn reborrow(&mut self) -> BatchOptions<'_> {
-        BatchOptions {
-            exec: self.exec,
-            scratch: match &mut self.scratch {
-                Some(ScratchSlot::Single(scratch)) => Some(ScratchSlot::Single(scratch)),
-                Some(ScratchSlot::Pool(pool)) => Some(ScratchSlot::Pool(pool)),
-                None => None,
-            },
-            deadline: self.deadline,
-        }
+        BatchOptions { exec: self.exec, pool: self.pool.as_deref_mut(), deadline: self.deadline }
     }
 }
 
@@ -529,53 +494,22 @@ impl ExactIndex {
     /// Build the index from a site model: an entry `(k, u) → (i, s)` exists
     /// for every item `i` with non-zero score `s = score_k(i, u)`. Threads
     /// come from [`Exec::auto`] (the `SOCIALSCOPE_THREADS` override or the
-    /// machine's parallelism); see [`Self::build_with`] for the sharding
-    /// and determinism story.
-    pub fn build(site: &SiteModel) -> Self {
-        Self::build_with(&Exec::auto(), site)
-    }
-
-    /// [`Self::build`] on a caller-chosen [`Exec`].
-    ///
-    /// Each `(item, tag)` assignment group is accumulated exactly once into
-    /// a reused per-user scratch map, then scattered into the per-
-    /// `(tag, user)` lists — no per-pair probing of the site's cross
-    /// product, and no tag cloning beyond the one interning. Under a
-    /// multi-worker pool the group sequence is sharded contiguously: tags
-    /// intern in a sequential pre-pass over the whole sequence (so the
-    /// symbol table is the sequential build's, whatever the pool), each
-    /// worker accumulates its own pre-sized partial maps, and the partials
-    /// merge in shard order — `(user, tag, item)` leaves are disjoint
-    /// across groups, so the merged accumulator and the final sorted
-    /// layout are *identical* to the sequential build's for every thread
-    /// count (a proptested invariant).
+    /// machine's parallelism); see [`ExactIndexBuilder`] for the sharding
+    /// and determinism story, a pinned [`Exec`] or layout, and the
+    /// error-returning [`ExactIndexBuilder::try_build`].
     ///
     /// # Panics
     ///
-    /// On a site with more than `u32::MAX` distinct scoring users — see
-    /// [`Self::try_build_with`] for the error-returning form.
-    pub fn build_with(exec: &Exec, site: &SiteModel) -> Self {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        Self::try_build_with(exec, site).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::build_with`], surfacing a pathological site as
-    /// [`crate::ContentError::CapacityExceeded`] instead of panicking.
-    /// The layout is chosen automatically by size (`auto_layout`); pin it
-    /// with [`ExactIndexBuilder::layout`].
-    pub fn try_build_with(exec: &Exec, site: &SiteModel) -> crate::Result<Self> {
-        Self::try_build_with_layout(exec, site, None)
+    /// On a site with more than `u32::MAX` distinct scoring users.
+    pub fn build(site: &SiteModel) -> Self {
+        Self::builder(site).build()
     }
 
     /// The build proper; `layout` pins the physical layout, `None` chooses
     /// by size. The layout conversion is a single deterministic pass over
     /// the merged lists, so sharded builds stay identical to sequential
     /// ones whatever the choice.
-    fn try_build_with_layout(
-        exec: &Exec,
-        site: &SiteModel,
-        layout: Option<Layout>,
-    ) -> crate::Result<Self> {
+    fn try_build_on(exec: &Exec, site: &SiteModel, layout: Option<Layout>) -> crate::Result<Self> {
         /// Build-time accumulator: user → tag → item → score.
         type ScoreAcc = FxHashMap<NodeId, FxHashMap<TagId, FxHashMap<NodeId, f64>>>;
         let mut tags = TagInterner::new();
@@ -616,7 +550,7 @@ impl ExactIndex {
         // `(user, tag, item)` belongs to exactly one assignment group and
         // thus one shard, so the merge is a disjoint union.
         let mut shards = shards.into_iter();
-        // lint: allow(no_panic, reason = "true invariant: try_run_sharded returns one result per chunk and chunking always yields at least one chunk")
+        // lint: allow(no_panic, reason = "true invariant: run_sharded returns one result per chunk and chunking always yields at least one chunk")
         let mut lists = shards.next().expect("run_sharded yields at least one shard");
         for shard in shards {
             for (user, by_tag) in shard {
@@ -682,34 +616,16 @@ impl ExactIndex {
 
     /// The unified construction surface: configure and build through an
     /// [`ExactIndexBuilder`]. `ExactIndex::builder(&site).build()` is
-    /// [`Self::build`]; add `.exec(&exec)` for [`Self::build_with`].
+    /// [`Self::build`]; add `.exec(&exec)` to pin the threads.
     pub fn builder(site: &SiteModel) -> ExactIndexBuilder<'_> {
         ExactIndexBuilder { site, exec: None, layout: None }
     }
 
-    /// Apply a batch of [`TagEvent`]s to the live index, patching the
-    /// affected posting lists in place. Threads come from [`Exec::auto`];
-    /// see [`Self::apply_with`] for the contract and mechanics.
-    pub fn apply(&mut self, site: &SiteModel, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] with an error channel: capacity overflows (and
-    /// injected faults) surface as errors, and an `Err` return guarantees
-    /// the index is byte-identical to its pre-call state (see
-    /// [`Self::try_apply_with`]).
-    pub fn try_apply(
-        &mut self,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> crate::Result<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
+    /// Apply a batch of [`TagEvent`]s to the live index on `exec`, patching
+    /// the affected posting lists in place.
     ///
     /// **Contract:** `site` must already reflect the batch — call
-    /// [`SiteModel::apply`] with the same events first. The index then
+    /// [`SiteModel::try_apply`] with the same events first. The index then
     /// converges to exactly the state [`Self::build`] would produce from
     /// that site (same stats, same list per `(tag, user)`, same answer to
     /// every query — a proptested invariant), without the rebuild.
@@ -724,21 +640,12 @@ impl ExactIndex {
     /// events (duplicate assigns, retracts of nothing) recompute to the
     /// stored score and touch nothing, so replays are free and
     /// [`ApplyReport::is_noop`] reports them honestly.
-    pub fn apply_with(
-        &mut self,
-        exec: &Exec,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, site, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: [`Self::plan_apply`] over `site` (which already reflects
-    /// the batch, so the view has nothing pending), then
-    /// [`Self::commit_apply`]. Every fallible step — capacity validation,
-    /// or an injected fault at [`crate::faults::EXACT_APPLY_STAGE`] /
+    ///
+    /// **All-or-nothing per batch:** [`Self::plan_apply`] over `site`
+    /// (which already reflects the batch, so the view has nothing
+    /// pending), then [`Self::commit_apply`]. Every fallible step —
+    /// capacity validation, or an injected fault at
+    /// [`crate::faults::EXACT_APPLY_STAGE`] /
     /// [`crate::faults::EXACT_APPLY_COMMIT`] — belongs to the read-only
     /// plan, so an `Err` return leaves the index byte-identical to its
     /// pre-call state: same stats, same list per `(tag, user)`, same
@@ -1016,6 +923,15 @@ impl ExactIndex {
     /// [`Self::query`] call exactly, whatever the options: [`BatchOptions`]
     /// choose the threads ([`Exec::auto`] by default) and the scratch reuse
     /// (throwaway by default), never the answers.
+    ///
+    /// A batch too small to amortize worker spawns (fewer than 2 × 64
+    /// members), or any batch under [`Exec::sequential`], is walked on the
+    /// caller's thread through the pool's first arena, writing each result
+    /// straight to its output slot. Larger batches split into contiguous
+    /// **slot ranges**, one scoped-thread worker per range with its own
+    /// arena; every worker runs the same per-slot walk and writes to output
+    /// slots no other worker touches (a proptested invariant for every
+    /// thread count).
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -1025,96 +941,32 @@ impl ExactIndex {
     ) -> Vec<TopKResult> {
         let exec = opts.exec.unwrap_or_else(Exec::auto);
         let deadline = Deadline::new(opts.deadline);
-        match opts.scratch {
-            Some(ScratchSlot::Single(scratch)) => {
-                self.serve_batch_seq(scratch, users, keywords, k, deadline)
-            }
-            Some(ScratchSlot::Pool(pool)) => {
-                self.serve_batch_sharded(&exec, pool, users, keywords, k, deadline)
-            }
-            None => self.serve_batch_sharded(
-                &exec,
-                &mut BatchScratchPool::default(),
-                users,
-                keywords,
-                k,
-                deadline,
-            ),
-        }
-    }
-
-    /// The single-threaded batch path: one scratch arena, users walked in
-    /// slot order. Also the per-shard code of the sharded path.
-    fn serve_batch_seq(
-        &self,
-        scratch: &mut BatchScratch,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-        deadline: Deadline,
-    ) -> Vec<TopKResult> {
         let tag_ids = QueryTags::resolve(&self.tags, keywords);
         let tag_ids = tag_ids.as_slice();
         let mut results: Vec<TopKResult> = Vec::with_capacity(users.len());
+        results.resize_with(users.len(), TopKResult::default);
         // No keyword resolved to an indexed tag: every member's answer is
         // the same empty result a single query would produce, and the
         // whole batch is served without touching the per-user table — the
         // amortization a per-user loop structurally cannot have.
         if tag_ids.is_empty() {
-            results.resize_with(users.len(), TopKResult::default);
             return results;
         }
-        let BatchScratch { order, topk, .. } = scratch;
+        let mut throwaway = BatchScratchPool::default();
+        let BatchScratchPool { order, workers } = opts.pool.unwrap_or(&mut throwaway);
         order.clear();
         order.extend(users.iter().enumerate().map(|(position, user)| {
             (self.slots.get(user).copied().unwrap_or(NO_SLOT), position as u32)
         }));
         order.sort_unstable();
-        results.resize_with(users.len(), TopKResult::default);
-        self.serve_slots(order, tag_ids, k, topk, deadline, |position, result| {
-            results[position as usize] = result;
-        });
-        results
-    }
-
-    /// The sharded batch path, through a caller-owned per-worker arena
-    /// pool.
-    ///
-    /// The batch is resolved and laid out in index order exactly as the
-    /// sequential path does, then split into contiguous **slot ranges**,
-    /// one scoped-thread worker per range with its own [`BatchScratch`];
-    /// every worker runs the same per-slot evaluation the sequential path
-    /// runs and writes to output slots no other worker touches, so results
-    /// stay element-wise identical to single [`Self::query`] calls — and to
-    /// the sequential batch path — for every thread count (a proptested
-    /// invariant). Batches too small to amortize worker spawns (fewer than
-    /// 2 × 64 members) take the sequential path outright.
-    fn serve_batch_sharded(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-        deadline: Deadline,
-    ) -> Vec<TopKResult> {
         let shards = exec.shard_count(users.len(), SHARD_MIN_USERS);
         if shards <= 1 {
-            return self.serve_batch_seq(pool.worker(), users, keywords, k, deadline);
-        }
-        let tag_ids = QueryTags::resolve(&self.tags, keywords);
-        let tag_ids = tag_ids.as_slice();
-        let mut results: Vec<TopKResult> = Vec::with_capacity(users.len());
-        if tag_ids.is_empty() {
-            results.resize_with(users.len(), TopKResult::default);
+            let topk = &mut grow_workers(workers, 1)[0].topk;
+            self.serve_slots(order, tag_ids, k, topk, deadline, |position, result| {
+                results[position as usize] = result;
+            });
             return results;
         }
-        let BatchScratchPool { order, workers } = pool;
-        order.clear();
-        order.extend(users.iter().enumerate().map(|(position, user)| {
-            (self.slots.get(user).copied().unwrap_or(NO_SLOT), position as u32)
-        }));
-        order.sort_unstable();
         let ranges = Exec::shard_ranges(order.len(), shards);
         let sharded: Vec<Vec<(u32, TopKResult)>> =
             exec.run_chunks_with(grow_workers(workers, shards), &ranges, |scratch, _, range| {
@@ -1131,7 +983,6 @@ impl ExactIndex {
                 );
                 out
             });
-        results.resize_with(users.len(), TopKResult::default);
         for shard in sharded {
             for (position, result) in shard {
                 results[position as usize] = result;
@@ -1142,7 +993,7 @@ impl ExactIndex {
 
     /// Evaluate a layout-ordered run of `(slot, position)` pairs, handing
     /// each result to `sink(position, result)`. The single shared walk of
-    /// both batch paths: the sequential path runs it over the whole order,
+    /// the batch path: a one-shard batch runs it over the whole order,
     /// each parallel worker over its contiguous slot range. The deadline is
     /// checked cooperatively before each [`DEADLINE_CHECK_STRIDE`]-member
     /// chunk — members serve in tens of nanoseconds, so a per-member check
@@ -1207,9 +1058,20 @@ impl ExactIndex {
 
 /// The unified construction surface of [`ExactIndex`] (see
 /// [`ExactIndex::builder`]): `ExactIndex::builder(&site).build()` builds on
-/// [`Exec::auto`] threads; `.exec(&exec)` pins the execution context. The
-/// built index is identical whatever the thread count (a proptested
-/// invariant), so the builder options are purely about resources.
+/// [`Exec::auto`] threads; `.exec(&exec)` pins the execution context.
+///
+/// Each `(item, tag)` assignment group is accumulated exactly once into a
+/// reused per-user scratch map, then scattered into the per-`(tag, user)`
+/// lists — no per-pair probing of the site's cross product, and no tag
+/// cloning beyond the one interning. Under a multi-worker pool the group
+/// sequence is sharded contiguously: tags intern in a sequential pre-pass
+/// over the whole sequence (so the symbol table is the sequential build's,
+/// whatever the pool), each worker accumulates its own pre-sized partial
+/// maps, and the partials merge in shard order — `(user, tag, item)`
+/// leaves are disjoint across groups, so the merged accumulator and the
+/// final sorted layout are *identical* to the sequential build's for every
+/// thread count (a proptested invariant). The builder options are
+/// therefore purely about resources.
 pub struct ExactIndexBuilder<'a> {
     site: &'a SiteModel,
     exec: Option<Exec>,
@@ -1238,14 +1100,11 @@ impl ExactIndexBuilder<'_> {
         self.try_build().unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Build the index, surfacing capacity overflow as an error instead of
-    /// panicking ([`ExactIndex::try_build_with`]).
+    /// Build the index, surfacing a site with more than `u32::MAX` distinct
+    /// scoring users as [`crate::ContentError::CapacityExceeded`] instead of
+    /// panicking.
     pub fn try_build(self) -> crate::Result<ExactIndex> {
-        ExactIndex::try_build_with_layout(
-            &self.exec.unwrap_or_else(Exec::auto),
-            self.site,
-            self.layout,
-        )
+        ExactIndex::try_build_on(&self.exec.unwrap_or_else(Exec::auto), self.site, self.layout)
     }
 }
 
@@ -1254,6 +1113,17 @@ impl ExactIndexBuilder<'_> {
 /// clustering the bound lists aggregate over (without it, every user is
 /// unclustered — the default [`UserClustering`] — and the index stores no
 /// bounds at all), and `.exec(&exec)` to pin the execution context.
+///
+/// Under a multi-worker pool the tag-assignment group sequence is sharded
+/// contiguously exactly as in [`ExactIndexBuilder`]: tags intern in a
+/// sequential pre-pass, each worker accumulates its own partial bound maps
+/// *and* partial refinement arena over its run of groups, and the partials
+/// merge in shard order — bound leaves `(tag, cluster, item)` belong to
+/// exactly one group, and concatenating the partial refinement arenas in
+/// shard order reproduces the sequential arena byte for byte
+/// (`RefinementIndex::append`). The list pool is then laid out in
+/// ascending key order, so the built index is identical for every thread
+/// count (a proptested invariant).
 pub struct ClusteredIndexBuilder<'a> {
     site: &'a SiteModel,
     exec: Option<Exec>,
@@ -1289,10 +1159,11 @@ impl ClusteredIndexBuilder<'_> {
         self.try_build().unwrap_or_else(|error| panic!("{error}"))
     }
 
-    /// Build the index, surfacing capacity overflow as an error instead of
-    /// panicking ([`ClusteredIndex::try_build_with`]).
+    /// Build the index, surfacing a site/clustering with more than
+    /// `u32::MAX` non-empty `(tag, cluster)` bound lists as
+    /// [`crate::ContentError::CapacityExceeded`] instead of panicking.
     pub fn try_build(self) -> crate::Result<ClusteredIndex> {
-        ClusteredIndex::try_build_with_layout(
+        ClusteredIndex::try_build_on(
             &self.exec.unwrap_or_else(Exec::auto),
             self.site,
             self.clustering.unwrap_or_default(),
@@ -1365,53 +1236,23 @@ impl ClusteredIndex {
     /// every `(tag, item)` tagger group into the keyword-first
     /// [`RefinementIndex`] under the same interned ids, so query-time
     /// refinement never touches tag strings. Threads come from
-    /// [`Exec::auto`]; see [`Self::build_with`] for the sharding and
-    /// determinism story.
-    pub fn build(site: &SiteModel, clustering: UserClustering) -> Self {
-        Self::build_with(&Exec::auto(), site, clustering)
-    }
-
-    /// [`Self::build`] on a caller-chosen [`Exec`].
-    ///
-    /// Under a multi-worker pool the tag-assignment group sequence is
-    /// sharded contiguously exactly as in [`ExactIndex::build_with`]: tags
-    /// intern in a sequential pre-pass, each worker accumulates its own
-    /// partial bound maps *and* partial refinement arena over its run of
-    /// groups, and the partials merge in shard order — bound leaves
-    /// `(tag, cluster, item)` belong to exactly one group, and
-    /// concatenating the partial refinement arenas in shard order
-    /// reproduces the sequential arena byte for byte
-    /// (`RefinementIndex::append`). The list pool is then laid out in
-    /// ascending key order, so the built index is identical for every
-    /// thread count (a proptested invariant).
+    /// [`Exec::auto`]; see [`ClusteredIndexBuilder`] for the sharding and
+    /// determinism story, a pinned [`Exec`] or layout, and the
+    /// error-returning [`ClusteredIndexBuilder::try_build`].
     ///
     /// # Panics
     ///
     /// On a site/clustering with more than `u32::MAX` non-empty
-    /// `(tag, cluster)` bound lists — see [`Self::try_build_with`] for the
-    /// error-returning form.
-    pub fn build_with(exec: &Exec, site: &SiteModel, clustering: UserClustering) -> Self {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        Self::try_build_with(exec, site, clustering).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::build_with`], surfacing a pathological site as
-    /// [`crate::ContentError::CapacityExceeded`] instead of panicking.
-    /// The layout is chosen automatically by size (`auto_layout`); pin it
-    /// with [`ClusteredIndexBuilder::layout`].
-    pub fn try_build_with(
-        exec: &Exec,
-        site: &SiteModel,
-        clustering: UserClustering,
-    ) -> crate::Result<Self> {
-        Self::try_build_with_layout(exec, site, clustering, None)
+    /// `(tag, cluster)` bound lists.
+    pub fn build(site: &SiteModel, clustering: UserClustering) -> Self {
+        Self::builder(site).clustering(clustering).build()
     }
 
     /// The build proper; `layout` pins the physical layout, `None` chooses
     /// by size (over bound entries + refinement entries together). The
     /// conversion is a single deterministic pass over the merged pool and
     /// arena, so sharded builds stay identical to sequential ones.
-    fn try_build_with_layout(
+    fn try_build_on(
         exec: &Exec,
         site: &SiteModel,
         clustering: UserClustering,
@@ -1461,7 +1302,7 @@ impl ClusteredIndex {
         // Merge in shard order: bound leaves are a disjoint union, and the
         // refinement arenas concatenate into the sequential build's arena.
         let mut shards = shards.into_iter();
-        // lint: allow(no_panic, reason = "true invariant: try_run_sharded returns one result per chunk and chunking always yields at least one chunk")
+        // lint: allow(no_panic, reason = "true invariant: run_sharded returns one result per chunk and chunking always yields at least one chunk")
         let (mut bounds, mut refinement) =
             shards.next().expect("run_sharded yields at least one shard");
         for (shard_bounds, shard_refinement) in shards {
@@ -1532,13 +1373,13 @@ impl ClusteredIndex {
     /// The unified construction surface: configure and build through a
     /// [`ClusteredIndexBuilder`].
     /// `ClusteredIndex::builder(&site).clustering(c).build()` is
-    /// [`Self::build`]; add `.exec(&exec)` for [`Self::build_with`].
+    /// [`Self::build`]; add `.exec(&exec)` to pin the threads.
     pub fn builder(site: &SiteModel) -> ClusteredIndexBuilder<'_> {
         ClusteredIndexBuilder { site, exec: None, clustering: None, layout: None }
     }
 
     /// The index's build identity: a fresh non-zero stamp per build *and
-    /// per effective [`Self::apply`]*, which the scratch-level gather
+    /// per effective apply* ([`Self::commit_apply`]), which the scratch-level gather
     /// caches key on (0 — a default-constructed index — disables caching).
     /// The stamp moving on every effective apply is what makes stale
     /// cached pool slots impossible after a delta: a warm scratch keyed on
@@ -1547,31 +1388,12 @@ impl ClusteredIndex {
         self.stamp
     }
 
-    /// Apply a batch of [`TagEvent`]s to the live index: recluster late
-    /// joiners, splice the refinement arena, and patch the affected
-    /// `(tag, cluster)` bound lists in place. Threads come from
-    /// [`Exec::auto`]; see [`Self::apply_with`] for the contract and
-    /// mechanics.
-    pub fn apply(&mut self, site: &SiteModel, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] with an error channel: capacity overflows (and
-    /// injected faults) surface as errors, and an `Err` return guarantees
-    /// index, clustering and refinement are byte-identical to their
-    /// pre-call state (see [`Self::try_apply_with`]).
-    pub fn try_apply(
-        &mut self,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> crate::Result<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), site, events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
+    /// Apply a batch of [`TagEvent`]s to the live index on `exec`:
+    /// recluster late joiners, splice the refinement arena, and patch the
+    /// affected `(tag, cluster)` bound lists in place.
     ///
     /// **Contract:** `site` must already reflect the batch — call
-    /// [`SiteModel::apply`] with the same events first. The index then
+    /// [`SiteModel::try_apply`] with the same events first. The index then
     /// converges to exactly the state [`Self::build`] would produce from
     /// that site and the post-join clustering (same stats, same bound list
     /// per `(tag, cluster)`, same refinement groups, same answer to every
@@ -1601,21 +1423,11 @@ impl ClusteredIndex {
     /// 4. **Stamp bump** — only if anything changed, so a redundant batch
     ///    is a true no-op and warm gather caches stay valid; any effective
     ///    change moves [`Self::build_stamp`] and invalidates them.
-    pub fn apply_with(
-        &mut self,
-        exec: &Exec,
-        site: &SiteModel,
-        events: &[TagEvent],
-    ) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, site, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply_with`] with an error channel, **all-or-nothing per
-    /// batch**: [`Self::plan_apply`] over `site` (which already reflects
-    /// the batch, so the view has nothing pending), then
-    /// [`Self::commit_apply`]. Every fallible step — capacity validation,
-    /// or an injected fault at any of
+    ///
+    /// **All-or-nothing per batch:** [`Self::plan_apply`] over `site`
+    /// (which already reflects the batch, so the view has nothing
+    /// pending), then [`Self::commit_apply`]. Every fallible step —
+    /// capacity validation, or an injected fault at any of
     /// [`crate::faults::CLUSTERED_APPLY_PHASE1`] /
     /// [`crate::faults::CLUSTERED_APPLY_PHASE2`] /
     /// [`crate::faults::CLUSTERED_APPLY_PHASE3`] — belongs to the
@@ -1633,7 +1445,7 @@ impl ClusteredIndex {
         Ok(self.commit_apply(plan))
     }
 
-    /// Plan the first three phases of [`Self::apply_with`] without
+    /// Plan the first three phases of [`Self::try_apply_with`] without
     /// touching the index: `site` answers as the model will *after* the
     /// batch (a [`SiteView`] over a planned
     /// [`crate::sitemodel::SiteDelta`], or [`SiteModel::view`] of a model
@@ -1762,7 +1574,7 @@ impl ClusteredIndex {
 
     /// Land a plan made by [`Self::plan_apply`] against this very index
     /// (nothing may touch the index in between) — the commit of
-    /// [`Self::apply_with`]'s phases 1–3 plus phase 4. Infallible and in
+    /// [`Self::try_apply_with`]'s phases 1–3 plus phase 4. Infallible and in
     /// place: the recorded tags and joins land, the refinement splice
     /// copies unchanged arena runs through, each changed bound list is
     /// patched in one pass, new lists are appended to the pool and
@@ -1990,6 +1802,18 @@ impl ClusteredIndex {
     /// [`ClusteredQueryReport::unclustered`]). Threads come from
     /// [`Exec::auto`]; behaviour knobs (execution, scratch reuse) come
     /// through [`BatchOptions`].
+    ///
+    /// A batch too small to amortize worker spawns, or any batch under
+    /// [`Exec::sequential`], walks every cluster group on the caller's
+    /// thread through the pool's first arena, writing each report straight
+    /// to its output slot. Larger batches split into contiguous runs of
+    /// whole **cluster groups** (a group's bound lists are gathered once,
+    /// by one worker), one scoped-thread worker per run with its own arena
+    /// — evaluation state *and* gather cache. Across calls each arena's
+    /// gather cache keeps each cluster's bound-list spans for the current
+    /// resolved keyword set: a serving loop whose consecutive batches share
+    /// a keyword set — the hot-query pattern — re-gathers every cluster
+    /// with one probe instead of one per tag.
     pub fn query_batch_opts(
         &self,
         site: &SiteModel,
@@ -2000,96 +1824,29 @@ impl ClusteredIndex {
     ) -> Vec<ClusteredQueryReport> {
         let exec = opts.exec.unwrap_or_else(Exec::auto);
         let deadline = Deadline::new(opts.deadline);
-        match opts.scratch {
-            Some(ScratchSlot::Single(scratch)) => {
-                self.serve_batch_seq(scratch, site, users, keywords, k, deadline)
-            }
-            Some(ScratchSlot::Pool(pool)) => {
-                self.serve_batch_sharded(&exec, pool, site, users, keywords, k, deadline)
-            }
-            None => self.serve_batch_sharded(
-                &exec,
-                &mut BatchScratchPool::default(),
-                site,
-                users,
-                keywords,
-                k,
-                deadline,
-            ),
-        }
-    }
-
-    /// The sequential batch path behind [`Self::query_batch_opts`]:
-    /// a caller-owned [`BatchScratch`], no worker threads. Across calls
-    /// the scratch additionally caches each cluster's gathered bound-list
-    /// spans for the current resolved keyword set (the scratch's internal
-    /// gather cache): a serving loop whose consecutive batches share a
-    /// keyword set — the hot-query pattern — re-gathers every cluster with
-    /// one probe instead of one per tag.
-    fn serve_batch_seq(
-        &self,
-        scratch: &mut BatchScratch,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-        deadline: Deadline,
-    ) -> Vec<ClusteredQueryReport> {
-        let tag_ids = QueryTags::resolve(&self.tags, keywords);
-        let resolved = self.refinement.resolve(tag_ids.as_slice());
-        // The order buffer leaves the scratch while the group walk borrows
-        // the rest of it, and returns before the call ends.
-        let mut order = std::mem::take(&mut scratch.order);
-        self.cluster_order(&mut order, users);
-        let mut results: Vec<ClusteredQueryReport> = Vec::with_capacity(users.len());
-        results.resize_with(users.len(), ClusteredQueryReport::default);
-        self.serve_cluster_groups(
-            site,
-            users,
-            &order,
-            tag_ids.as_slice(),
-            &resolved,
-            k,
-            scratch,
-            deadline,
-            |position, report| results[position as usize] = report,
-        );
-        scratch.order = order;
-        results
-    }
-
-    /// The sharded batch path behind [`Self::query_batch_opts`].
-    ///
-    /// The batch is resolved and cluster-grouped exactly as the sequential
-    /// path does, then split into contiguous runs of whole **cluster
-    /// groups** (a group's bound lists are gathered once, by one worker),
-    /// one scoped-thread worker per run with its own [`BatchScratch`] —
-    /// evaluation state *and* gather cache. Every worker runs the same
-    /// group walk the sequential path runs and writes to output slots no
-    /// other worker touches, so results stay element-wise identical to
-    /// single [`Self::query`] calls — and to the sequential batch path —
-    /// for every thread count (a proptested invariant). Batches too small
-    /// to amortize worker spawns take the sequential path outright.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_batch_sharded(
-        &self,
-        exec: &Exec,
-        pool: &mut BatchScratchPool,
-        site: &SiteModel,
-        users: &[NodeId],
-        keywords: &[String],
-        k: usize,
-        deadline: Deadline,
-    ) -> Vec<ClusteredQueryReport> {
-        let shards = exec.shard_count(users.len(), SHARD_MIN_USERS);
-        if shards <= 1 {
-            return self.serve_batch_seq(pool.worker(), site, users, keywords, k, deadline);
-        }
         let tag_ids = QueryTags::resolve(&self.tags, keywords);
         let tag_ids = tag_ids.as_slice();
         let resolved = self.refinement.resolve(tag_ids);
-        let BatchScratchPool { order, workers } = pool;
+        let mut throwaway = BatchScratchPool::default();
+        let BatchScratchPool { order, workers } = opts.pool.unwrap_or(&mut throwaway);
         self.cluster_order(order, users);
+        let mut results: Vec<ClusteredQueryReport> = Vec::with_capacity(users.len());
+        results.resize_with(users.len(), ClusteredQueryReport::default);
+        let shards = exec.shard_count(users.len(), SHARD_MIN_USERS);
+        if shards <= 1 {
+            self.serve_cluster_groups(
+                site,
+                users,
+                order,
+                tag_ids,
+                &resolved,
+                k,
+                &mut grow_workers(workers, 1)[0],
+                deadline,
+                |position, report| results[position as usize] = report,
+            );
+            return results;
+        }
         let chunks = cluster_chunks(order, shards);
         let sharded: Vec<Vec<(u32, ClusteredQueryReport)>> = exec.run_chunks_with(
             grow_workers(workers, chunks.len()),
@@ -2110,8 +1867,6 @@ impl ClusteredIndex {
                 out
             },
         );
-        let mut results: Vec<ClusteredQueryReport> = Vec::with_capacity(users.len());
-        results.resize_with(users.len(), ClusteredQueryReport::default);
         for shard in sharded {
             for (position, report) in shard {
                 results[position as usize] = report;
@@ -2174,7 +1929,8 @@ impl ClusteredIndex {
     /// each cluster group's extent, gather its bound lists once (through
     /// the scratch's cross-batch cache) and evaluate every member, handing
     /// each report to `sink(position, report)`. The single shared walk of
-    /// both batch paths. The deadline is checked cooperatively before each
+    /// the batch path: a one-shard batch runs it over the whole order,
+    /// each parallel worker over its run of groups. The deadline is checked cooperatively before each
     /// [`DEADLINE_CHECK_STRIDE`]-member chunk of a group; once it expires,
     /// every remaining member of this run gets the defined empty-with-flag
     /// report ([`ClusteredQueryReport::deadline_expired`]) and remaining
@@ -2192,7 +1948,7 @@ impl ClusteredIndex {
         mut deadline: Deadline,
         mut sink: impl FnMut(u32, ClusteredQueryReport),
     ) {
-        let BatchScratch { topk, spans, gather, .. } = scratch;
+        let BatchScratch { topk, spans, gather } = scratch;
         let mut start = 0usize;
         let mut expired = false;
         while start < order.len() {
@@ -2588,9 +2344,10 @@ mod tests {
         }
     }
 
-    /// One scratch arena reused across repeated batches, changing keyword
-    /// sets and *different indexes* must stay exactly as correct as fresh
-    /// scratches: the gather cache replays spans on repeats (the hot-query
+    /// One scratch arena (worker 0 of one pool, under
+    /// [`Exec::sequential`]) reused across repeated batches, changing
+    /// keyword sets and *different indexes* must stay exactly as correct as
+    /// fresh scratches: the gather cache replays spans on repeats (the hot-query
     /// pattern) and is keyed on the index's build stamp plus the resolved
     /// tag sequence, so neither a keyword change nor an index change can
     /// serve stale gathers.
@@ -2605,13 +2362,14 @@ mod tests {
             vec!["baseball".to_string(), "museum".to_string()],
             vec!["stadium".to_string(), "history".to_string()],
         ];
-        let mut scratch = BatchScratch::default();
+        let mut pool = BatchScratchPool::default();
         // Three rounds: the first fills caches, later rounds hit them (and
         // every keyword/index switch in between must invalidate cleanly).
         for round in 0..3 {
             for index in [&by_network, &by_behavior] {
                 for keywords in &queries {
-                    let opts = BatchOptions::new().scratch(&mut scratch);
+                    let opts =
+                        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool);
                     let served = index.query_batch_opts(&site, &users, keywords, 2, opts);
                     for (got, &u) in served.iter().zip(&users) {
                         assert_eq!(
@@ -2719,16 +2477,18 @@ mod tests {
         let clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
         let keywords = vec!["baseball".to_string(), "museum".to_string()];
         let hour = std::time::Duration::from_secs(3600);
-        for threads in [1usize, 4] {
+        // `Duration::MAX` is too long to add to any instant: it must serve
+        // unbounded, not overflow the clock.
+        for (threads, budget) in [(1usize, hour), (4, hour), (1, std::time::Duration::MAX)] {
             let exec = Exec::new(threads).unwrap();
             let unbounded = exact.query_batch_opts(&users, &keywords, 3, BatchOptions::new());
             let bounded = exact.query_batch_opts(
                 &users,
                 &keywords,
                 3,
-                BatchOptions::new().exec(&exec).deadline(hour),
+                BatchOptions::new().exec(&exec).deadline(budget),
             );
-            assert_eq!(bounded, unbounded, "threads {threads}");
+            assert_eq!(bounded, unbounded, "threads {threads} budget {budget:?}");
             assert!(bounded.iter().all(|r| !r.deadline_expired));
             let unbounded =
                 clustered.query_batch_opts(&site, &users, &keywords, 3, BatchOptions::new());
@@ -2737,9 +2497,9 @@ mod tests {
                 &users,
                 &keywords,
                 3,
-                BatchOptions::new().exec(&exec).deadline(hour),
+                BatchOptions::new().exec(&exec).deadline(budget),
             );
-            assert_eq!(bounded, unbounded, "threads {threads}");
+            assert_eq!(bounded, unbounded, "threads {threads} budget {budget:?}");
             assert!(bounded.iter().all(|r| !r.deadline_expired));
         }
     }

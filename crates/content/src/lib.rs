@@ -57,7 +57,7 @@ pub use cluster::{
 pub use error::ContentError;
 pub use events::TagEvent;
 pub use index::{
-    ApplyReport, BatchOptions, BatchScratch, BatchScratchPool, ClusteredApplyPlan, ClusteredIndex,
+    ApplyReport, BatchOptions, BatchScratchPool, ClusteredApplyPlan, ClusteredIndex,
     ClusteredIndexBuilder, ClusteredQueryReport, ExactApplyPlan, ExactIndex, ExactIndexBuilder,
     IndexStats, MemoryProfile, COMPRESS_AUTO_MIN_ENTRIES,
 };

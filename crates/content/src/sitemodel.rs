@@ -178,16 +178,11 @@ impl SiteModel {
     /// never change under tag events — connection links are a different
     /// activity — which is what lets the index delta paths treat
     /// `network(u)` as stable.
-    pub fn apply(&mut self, events: &[TagEvent]) -> usize {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply(events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// [`Self::apply`] with an error channel for the fault-injection
-    /// harness: [`Self::plan_apply`] then [`Self::commit_apply`]. Every
-    /// fallible step (here, the [`crate::faults::SITE_APPLY`] failpoint)
-    /// belongs to the read-only plan, so an `Err` return guarantees the
-    /// model is byte-identical to its pre-call state.
+    ///
+    /// Runs [`Self::plan_apply`] then [`Self::commit_apply`]. Every fallible
+    /// step (here, the [`crate::faults::SITE_APPLY`] failpoint) belongs to
+    /// the read-only plan, so an `Err` return guarantees the model is
+    /// byte-identical to its pre-call state.
     pub fn try_apply(&mut self, events: &[TagEvent]) -> crate::Result<usize> {
         let delta = self.plan_apply(events)?;
         Ok(self.commit_apply(delta))

@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use socialscope_content::tags::QueryTags;
 use socialscope_content::topk::top_k_exhaustive;
 use socialscope_content::{
-    BatchOptions, BatchScratch, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex,
-    ClusteringStrategy, ExactIndex, HybridClustering, Layout, NetworkBasedClustering, PostingList,
-    SiteModel, TopKResult,
+    BatchOptions, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy,
+    ExactIndex, HybridClustering, Layout, NetworkBasedClustering, PostingList, SiteModel,
+    TopKResult,
 };
 use socialscope_exec::Exec;
 use socialscope_graph::{FxHashSet, GraphBuilder, NodeId, SocialGraph};
@@ -333,13 +333,13 @@ proptest! {
                 if p < user_ids.len() { user_ids[p] } else { NodeId(10_000 + p as u64) }
             })
             .collect();
-        let mut scratch = BatchScratch::default();
+        let mut pool = BatchScratchPool::default();
         let fresh = exact.query_batch_opts(&batch, &keywords, k, BatchOptions::new());
         let reused = exact.query_batch_opts(
             &batch,
             &keywords,
             k,
-            BatchOptions::new().scratch(&mut scratch),
+            BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
         );
         prop_assert_eq!(fresh.len(), batch.len());
         for ((got, with), &u) in fresh.iter().zip(&reused).zip(&batch) {
@@ -353,7 +353,7 @@ proptest! {
             &batch,
             &keywords,
             k,
-            BatchOptions::new().scratch(&mut scratch),
+            BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
         );
         prop_assert_eq!(fresh.len(), batch.len());
         for ((got, with), &u) in fresh.iter().zip(&reused).zip(&batch) {
@@ -460,15 +460,15 @@ proptest! {
         let (g, user_ids) = build_site(users, items, &fr, &tg);
         let site = SiteModel::from_graph(&g);
         let sequential = Exec::sequential();
-        let exact_seq = ExactIndex::build_with(&sequential, &site);
+        let exact_seq = ExactIndex::builder(&site).exec(&sequential).build();
         let clustering = NetworkBasedClustering.cluster(&site, theta);
-        let clustered_seq = ClusteredIndex::build_with(&sequential, &site, clustering.clone());
+        let clustered_seq = ClusteredIndex::builder(&site).exec(&sequential).clustering(clustering.clone()).build();
         let keywords = vec![TAGS[0].to_string(), TAGS[1].to_string(), TAGS[2].to_string()];
         for threads in THREAD_COUNTS {
             let exec = Exec::new(threads).unwrap();
-            let exact = ExactIndex::build_with(&exec, &site);
+            let exact = ExactIndex::builder(&site).exec(&exec).build();
             prop_assert_eq!(exact.stats(), exact_seq.stats(), "threads {}", threads);
-            let clustered = ClusteredIndex::build_with(&exec, &site, clustering.clone());
+            let clustered = ClusteredIndex::builder(&site).exec(&exec).clustering(clustering.clone()).build();
             prop_assert_eq!(clustered.stats(), clustered_seq.stats(), "threads {}", threads);
             prop_assert_eq!(
                 clustered.stats_with_refinement(),

@@ -22,7 +22,7 @@
 
 use proptest::prelude::*;
 use socialscope_content::{
-    faults, BatchOptions, BatchScratch, ClusteredIndex, ClusteringStrategy, ContentError,
+    faults, BatchOptions, BatchScratchPool, ClusteredIndex, ClusteringStrategy, ContentError,
     ExactIndex, Layout, NetworkBasedClustering, SiteModel, TagEvent, TopKResult,
 };
 use socialscope_exec::failpoints::{FailAction, FailScenario};
@@ -104,7 +104,7 @@ fn a_fault_at_every_registered_site_rolls_back_cleanly() {
         TagEvent::assign(users[1], items[2], "baseball"),
     ];
     let mut updated_site = site0.clone();
-    updated_site.apply(&events);
+    updated_site.try_apply(&events).unwrap();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
     for &fp in faults::APPLY_SITES {
@@ -167,7 +167,7 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
         TagEvent::assign(users[1], items[2], "baseball"),
     ];
     let mut updated_site = site0.clone();
-    updated_site.apply(&events);
+    updated_site.try_apply(&events).unwrap();
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
 
     for &fp in faults::APPLY_SITES {
@@ -211,8 +211,9 @@ fn a_fault_at_every_site_keeps_compressed_arenas_byte_identical() {
 /// Satellite contract: empty and no-op batches under injected faults.
 /// A faulted apply — even one that would have been a no-op — must not
 /// move the build stamp (the gather caches' single invalidation
-/// authority), and a [`BatchScratch`] warmed *before* the faulted apply
-/// must keep serving correct answers afterwards: the rollback left
+/// authority), and a scratch arena (worker 0 of one [`BatchScratchPool`]
+/// under [`Exec::sequential`]) warmed *before* the faulted apply must keep
+/// serving correct answers afterwards: the rollback left
 /// nothing for the warm cache to be stale against.
 #[test]
 fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
@@ -221,13 +222,13 @@ fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
     let exec = Exec::new(2).unwrap();
     let mut clustered = ClusteredIndex::build(&site, NetworkBasedClustering.cluster(&site, 0.3));
     let keywords: Vec<String> = TAGS[..2].iter().map(|t| t.to_string()).collect();
-    let mut scratch = BatchScratch::default();
+    let mut pool = BatchScratchPool::default();
     let warm = clustered.query_batch_opts(
         &site,
         &users,
         &keywords,
         2,
-        BatchOptions::new().scratch(&mut scratch),
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
     );
     let stamp = clustered.build_stamp();
 
@@ -257,7 +258,7 @@ fn faulted_and_noop_applies_never_move_stamps_or_invalidate_scratches() {
         &users,
         &keywords,
         2,
-        BatchOptions::new().scratch(&mut scratch),
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
     );
     assert_eq!(served, warm);
     for (got, &u) in served.iter().zip(&users) {
@@ -371,7 +372,7 @@ proptest! {
             })
             .collect();
         let mut updated_site = site0.clone();
-        updated_site.apply(&events);
+        updated_site.try_apply(&events).unwrap();
         let fp = faults::APPLY_SITES[site_pick % faults::APPLY_SITES.len()];
 
         scenario.arm(fp, FailAction::Fault { after: 0 });

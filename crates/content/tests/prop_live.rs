@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use socialscope_content::{
-    BatchOptions, BatchScratch, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy,
+    BatchOptions, BatchScratchPool, BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy,
     ExactIndex, HybridClustering, Layout, NetworkBasedClustering, SiteModel, TagEvent,
 };
 use socialscope_exec::Exec;
@@ -123,8 +123,8 @@ proptest! {
             let mut site = SiteModel::from_graph(&g);
             let mut index = ExactIndex::builder(&site).exec(&exec).build();
             for chunk in events.chunks(chunk_len) {
-                site.apply(chunk);
-                index.apply_with(&exec, &site, chunk);
+                site.try_apply(chunk).unwrap();
+                index.try_apply_with(&exec, &site, chunk).unwrap();
             }
             let rebuilt = ExactIndex::builder(&site).build();
             prop_assert_eq!(index.stats(), rebuilt.stats(), "stats at {} threads", threads);
@@ -184,8 +184,8 @@ proptest! {
                 .clustering(clustering.clone())
                 .build();
             for chunk in events.chunks(chunk_len) {
-                site.apply(chunk);
-                index.apply_with(&exec, &site, chunk);
+                site.try_apply(chunk).unwrap();
+                index.try_apply_with(&exec, &site, chunk).unwrap();
             }
             for event in &events {
                 prop_assert!(
@@ -260,9 +260,9 @@ proptest! {
             .layout(Layout::Compressed)
             .build();
         for chunk in events.chunks(chunk_len) {
-            site.apply(chunk);
-            exact.apply(&site, chunk);
-            clustered.apply(&site, chunk);
+            site.try_apply(chunk).unwrap();
+            exact.try_apply_with(&Exec::auto(), &site, chunk).unwrap();
+            clustered.try_apply_with(&Exec::auto(), &site, chunk).unwrap();
         }
         prop_assert_eq!(exact.layout(), Layout::Compressed, "apply abandoned the layout");
         prop_assert_eq!(clustered.layout(), Layout::Compressed, "apply abandoned the layout");
@@ -346,9 +346,9 @@ proptest! {
         let exact_stats = exact.stats();
         let clustered_stats = clustered.stats_with_refinement();
         for batch in [&events[..], &[]] {
-            prop_assert_eq!(site.apply(batch), 0, "site treated the batch as effective");
-            prop_assert!(exact.apply(&site, batch).is_noop());
-            let report = clustered.apply(&site, batch);
+            prop_assert_eq!(site.try_apply(batch).unwrap(), 0, "site treated the batch as effective");
+            prop_assert!(exact.try_apply_with(&Exec::auto(), &site, batch).unwrap().is_noop());
+            let report = clustered.try_apply_with(&Exec::auto(), &site, batch).unwrap();
             prop_assert!(report.is_noop(), "clustered apply reported {:?}", report);
             prop_assert_eq!(clustered.build_stamp(), stamp, "stamp moved on a no-op");
         }
@@ -472,7 +472,7 @@ proptest! {
         let site = SiteModel::from_graph(&g);
         let mut applied = site.clone();
         let effective: usize =
-            events.iter().map(|e| applied.apply(std::slice::from_ref(e))).sum();
+            events.iter().map(|e| applied.try_apply(std::slice::from_ref(e)).unwrap()).sum();
         let mut oracle = TripleOracle::of(&site);
         prop_assert_eq!(oracle.apply(&events), effective);
 
@@ -570,8 +570,9 @@ fn two_cliques() -> (SiteModel, Vec<NodeId>, Vec<NodeId>) {
     (SiteModel::from_graph(&b.build()), users, items)
 }
 
-/// Regression: a [`BatchScratch`] warmed on one batch must not serve stale
-/// gathered spans after an apply. The apply introduces a brand-new
+/// Regression: a scratch arena (worker 0 of one [`BatchScratchPool`] under
+/// [`Exec::sequential`]) warmed on one batch must not serve stale gathered
+/// spans after an apply. The apply introduces a brand-new
 /// `(tag, cluster)` bound list — which re-lays-out the whole list pool, so
 /// a cache replaying pre-apply pool slots would read the *wrong lists*,
 /// not just stale scores. The build stamp moving on every effective apply
@@ -584,13 +585,13 @@ fn warm_scratch_reads_fresh_state_after_apply() {
         .clustering(NetworkBasedClustering.cluster(&site, 0.3))
         .build();
     let keywords = vec!["baseball".to_string(), "museum".to_string()];
-    let mut scratch = BatchScratch::default();
+    let mut pool = BatchScratchPool::default();
     let warm = index.query_batch_opts(
         &site,
         &users,
         &keywords,
         2,
-        BatchOptions::new().scratch(&mut scratch),
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
     );
     for (got, &u) in warm.iter().zip(&users) {
         assert_eq!(got, &index.query(&site, u, &keywords, 2), "warm-up diverged for {u}");
@@ -600,8 +601,8 @@ fn warm_scratch_reads_fresh_state_after_apply() {
     // its first baseball bound list — a pool re-layout, the worst case for
     // a stale gather cache.
     let events = vec![TagEvent::assign(users[4], items[0], "baseball")];
-    site.apply(&events);
-    let report = index.apply(&site, &events);
+    site.try_apply(&events).unwrap();
+    let report = index.try_apply_with(&Exec::auto(), &site, &events).unwrap();
     assert!(!report.is_noop());
     assert_ne!(index.build_stamp(), stamp, "effective apply must move the stamp");
     let served = index.query_batch_opts(
@@ -609,7 +610,7 @@ fn warm_scratch_reads_fresh_state_after_apply() {
         &users,
         &keywords,
         2,
-        BatchOptions::new().scratch(&mut scratch),
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
     );
     for (got, &u) in served.iter().zip(&users) {
         assert_eq!(got, &index.query(&site, u, &keywords, 2), "stale gather served for {u}");
@@ -658,8 +659,8 @@ fn late_joiner_is_clustered_by_their_first_event() {
     assert!(index.query(&site, late, &keywords, 3).unclustered);
 
     let events = vec![TagEvent::assign(late, items[3], "baseball")];
-    site.apply(&events);
-    let report = index.apply(&site, &events);
+    site.try_apply(&events).unwrap();
+    let report = index.try_apply_with(&Exec::auto(), &site, &events).unwrap();
     assert_eq!(report.cluster_joins, 1);
     // The joiner's network {u1} overlaps u0's {u1, u2} at Jaccard 1/2 ≥
     // 0.3: the greedy predicate folds them into clique A's cluster, not a

@@ -82,10 +82,10 @@ pub mod serve {
 pub mod prelude {
     pub use socialscope_algebra::prelude::*;
     pub use socialscope_content::{
-        ActivityManager, ApplyReport, BatchOptions, BatchScratch, BatchScratchPool,
-        BehaviorBasedClustering, ClusteredIndex, ClusteringStrategy, ContentIntegrator,
-        DeploymentModel, ExactIndex, HybridClustering, NetworkBasedClustering, SiteModel, TagEvent,
-        TagId, TagInterner, UserJourney,
+        ActivityManager, ApplyReport, BatchOptions, BatchScratchPool, BehaviorBasedClustering,
+        ClusteredIndex, ClusteringStrategy, ContentIntegrator, DeploymentModel, ExactIndex,
+        HybridClustering, NetworkBasedClustering, SiteModel, TagEvent, TagId, TagInterner,
+        UserJourney,
     };
     pub use socialscope_discovery::{
         recommend_for_user, BatchRecommender, ClusteredNetworkAwareSearch, ContentAnalyzer,

@@ -42,7 +42,7 @@ impl NetworkAwareSearch {
     /// across the pool's workers and is identical to a sequential build.
     pub fn build_with(exec: &Exec, graph: &SocialGraph) -> Self {
         let site = SiteModel::from_graph(graph);
-        let index = ExactIndex::build_with(exec, &site);
+        let index = ExactIndex::builder(&site).exec(exec).build();
         NetworkAwareSearch { site, index }
     }
 
@@ -68,38 +68,21 @@ impl NetworkAwareSearch {
         Self::to_recommendations(self.query(user, keywords, k))
     }
 
-    /// Apply a batch of tagging events to the live engine: the site model
-    /// takes the batch and the exact index patches itself to exactly the
-    /// state a from-scratch rebuild over the updated site would produce —
-    /// every subsequent query (single or batch) answers from the fresh
-    /// state. Threads from [`Exec::auto`].
+    /// Apply a batch of tagging events to the live engine on `exec`: the
+    /// site model takes the batch and the exact index patches itself to
+    /// exactly the state a from-scratch rebuild over the updated site
+    /// would produce — every subsequent query (single or batch) answers
+    /// from the fresh state.
     ///
-    /// Panics on capacity exhaustion; [`Self::try_apply`] surfaces that as
-    /// an error instead.
-    pub fn apply(&mut self, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
-    pub fn apply_with(&mut self, exec: &Exec, events: &[TagEvent]) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Fallible [`Self::apply`]: the whole engine apply is transactional.
-    /// On any error — capacity exhaustion, or an injected fault under the
+    /// The whole engine apply is transactional. Plan, then commit: the
+    /// site plans the batch as a delta ([`SiteModel::plan_apply`]), the
+    /// index plans against the site as the delta will leave it, and only
+    /// when both plans stand do the index and then the site commit in
+    /// place — nothing is cloned, and the commits cannot fail. On any
+    /// error — capacity exhaustion, or an injected fault under the
     /// `failpoints` test feature — *both* the site model and the index are
     /// left byte-identical to their pre-apply state; no query can ever see
-    /// a site/index tear. Threads from [`Exec::auto`].
-    pub fn try_apply(&mut self, events: &[TagEvent]) -> ContentResult<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. Plan, then commit:
-    /// the site plans the batch as a delta ([`SiteModel::plan_apply`]),
-    /// the index plans against the site as the delta will leave it, and
-    /// only when both plans stand do the index and then the site commit
-    /// in place — nothing is cloned, and the commits cannot fail.
+    /// a site/index tear.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
@@ -186,7 +169,10 @@ impl ClusteredNetworkAwareSearch {
         theta: f64,
     ) -> Self {
         let site = SiteModel::from_graph(graph);
-        let index = ClusteredIndex::build_with(exec, &site, strategy.cluster(&site, theta));
+        let index = ClusteredIndex::builder(&site)
+            .exec(exec)
+            .clustering(strategy.cluster(&site, theta))
+            .build();
         ClusteredNetworkAwareSearch { site, index, fallback: None }
     }
 
@@ -277,43 +263,25 @@ impl ClusteredNetworkAwareSearch {
         Self::to_recommendations(self.query(user, keywords, k))
     }
 
-    /// Apply a batch of tagging events to the live engine: the site model
-    /// takes the batch, and the clustered index patches its bound lists and
-    /// refinement groups in place — reclustering late-joining taggers onto
-    /// their nearest existing cluster as it goes, so their next query
-    /// answers from real bounds instead of the empty-with-flag semantic —
-    /// and a configured [`Self::with_fallback`] exact index is kept in
-    /// lockstep. The returned report is the clustered index's. Threads
-    /// from [`Exec::auto`].
+    /// Apply a batch of tagging events to the live engine on `exec`: the
+    /// site model takes the batch, and the clustered index patches its
+    /// bound lists and refinement groups in place — reclustering
+    /// late-joining taggers onto their nearest existing cluster as it
+    /// goes, so their next query answers from real bounds instead of the
+    /// empty-with-flag semantic — and a configured [`Self::with_fallback`]
+    /// exact index is kept in lockstep. The returned report is the
+    /// clustered index's.
     ///
-    /// Panics on capacity exhaustion; [`Self::try_apply`] surfaces that as
-    /// an error instead.
-    pub fn apply(&mut self, events: &[TagEvent]) -> ApplyReport {
-        self.apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::apply`] on a caller-chosen [`Exec`].
-    pub fn apply_with(&mut self, exec: &Exec, events: &[TagEvent]) -> ApplyReport {
-        // lint: allow(no_panic, reason = "documented panicking convenience wrapper; serving paths use the adjacent try_ form and get a typed error")
-        self.try_apply_with(exec, events).unwrap_or_else(|error| panic!("{error}"))
-    }
-
-    /// Fallible [`Self::apply`]: the whole engine apply is transactional.
-    /// On any error — capacity exhaustion, or an injected fault under the
-    /// `failpoints` test feature — the site model, the clustered index
-    /// *and* the fallback exact index are all left byte-identical to their
-    /// pre-apply state; no query can ever see a site/index/fallback tear.
-    /// Threads from [`Exec::auto`].
-    pub fn try_apply(&mut self, events: &[TagEvent]) -> ContentResult<ApplyReport> {
-        self.try_apply_with(&Exec::auto(), events)
-    }
-
-    /// [`Self::try_apply`] on a caller-chosen [`Exec`]. Plan, then commit:
-    /// the site plans the batch as a delta ([`SiteModel::plan_apply`]),
-    /// the fallback and the clustered index plan against the site as the
-    /// delta will leave it, and only when all three plans stand do the
-    /// fallback, the index and last the site commit in place — nothing is
-    /// cloned, and the commits cannot fail.
+    /// The whole engine apply is transactional. Plan, then commit: the
+    /// site plans the batch as a delta ([`SiteModel::plan_apply`]), the
+    /// fallback and the clustered index plan against the site as the delta
+    /// will leave it, and only when all three plans stand do the fallback,
+    /// the index and last the site commit in place — nothing is cloned,
+    /// and the commits cannot fail. On any error — capacity exhaustion, or
+    /// an injected fault under the `failpoints` test feature — the site
+    /// model, the clustered index *and* the fallback exact index are all
+    /// left byte-identical to their pre-apply state; no query can ever see
+    /// a site/index/fallback tear.
     pub fn try_apply_with(
         &mut self,
         exec: &Exec,
@@ -339,9 +307,9 @@ impl ClusteredNetworkAwareSearch {
     /// results arrive in input order, each identical to the corresponding
     /// [`Self::query`] call (fallback-served unclustered members
     /// included). [`BatchOptions`] chooses threads and scratch reuse; the
-    /// fallback sub-batch runs under the *same* options —
-    /// same `Exec`, same scratch or pool — so a sequential entry point
-    /// never spawns threads and a pinned pool is reused, not reallocated.
+    /// fallback sub-batch runs under the *same* options — same `Exec`,
+    /// same pool — so a sequential `Exec` never spawns threads and a
+    /// pinned pool is reused, not reallocated.
     pub fn query_batch_opts(
         &self,
         users: &[NodeId],
@@ -360,9 +328,9 @@ impl ClusteredNetworkAwareSearch {
     /// Re-answer every flagged (unclustered) report from the fallback
     /// exact index, when one is configured. `serve` runs the flagged
     /// sub-batch through the exact engine on the *caller's* execution
-    /// choice — same `Exec`, same scratch/pool as the surrounding call, so
-    /// a sequential entry point never spawns threads and a pinned pool is
-    /// reused, not reallocated. The exact batch paths' element-wise
+    /// choice — same `Exec`, same pool as the surrounding call, so a
+    /// sequential `Exec` never spawns threads and a pinned pool is reused,
+    /// not reallocated. The exact batch paths' element-wise
     /// identity to single queries keeps this wrapper's single/batch
     /// identity intact.
     fn apply_fallback(
@@ -448,7 +416,7 @@ impl super::BatchRecommender for ClusteredNetworkAwareSearch {
 mod tests {
     use super::*;
     use socialscope_content::topk::top_k_exhaustive;
-    use socialscope_content::{BatchScratch, BatchScratchPool};
+    use socialscope_content::BatchScratchPool;
     use socialscope_graph::GraphBuilder;
 
     /// Two friends tag different items; a stranger tags a third.
@@ -514,14 +482,14 @@ mod tests {
         let keywords = vec!["baseball".to_string(), "museum".to_string()];
         // A batch with repeats and an unknown user, in arbitrary order.
         let batch = vec![users[2], users[0], NodeId(9999), users[0], users[3], users[1]];
-        let mut scratch = BatchScratch::default();
+        let mut pool = BatchScratchPool::default();
         for k in [0usize, 1, 3] {
             let results = search.query_batch_opts(&batch, &keywords, k, BatchOptions::new());
             let reused = search.query_batch_opts(
                 &batch,
                 &keywords,
                 k,
-                BatchOptions::new().scratch(&mut scratch),
+                BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
             );
             assert_eq!(results.len(), batch.len());
             for ((res, with), &u) in results.iter().zip(&reused).zip(&batch) {
@@ -560,14 +528,14 @@ mod tests {
         let search = ClusteredNetworkAwareSearch::build_default(&graph);
         let keywords = vec!["baseball".to_string(), "museum".to_string()];
         let batch = vec![users[2], NodeId(9999), users[0], users[0], users[3]];
-        let mut scratch = BatchScratch::default();
+        let mut pool = BatchScratchPool::default();
         for k in [0usize, 1, 3] {
             let results = search.query_batch_opts(&batch, &keywords, k, BatchOptions::new());
             let reused = search.query_batch_opts(
                 &batch,
                 &keywords,
                 k,
-                BatchOptions::new().scratch(&mut scratch),
+                BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
             );
             assert_eq!(results.len(), batch.len());
             for ((got, with), &u) in results.iter().zip(&reused).zip(&batch) {
@@ -632,7 +600,7 @@ mod tests {
         assert_eq!(report.result, want);
         // …and element-wise identically in every batch path.
         let batch = vec![late, users[0], late, users[3], NodeId(9999)];
-        let mut scratch = BatchScratch::default();
+        let mut seq_pool = BatchScratchPool::default();
         let mut pool = BatchScratchPool::default();
         for k in [0usize, 1, 3] {
             let plain = engine.query_batch_opts(&batch, &keywords, k, BatchOptions::new());
@@ -640,7 +608,7 @@ mod tests {
                 &batch,
                 &keywords,
                 k,
-                BatchOptions::new().scratch(&mut scratch),
+                BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut seq_pool),
             );
             for threads in [1usize, 2, 7] {
                 let exec = Exec::new(threads).unwrap();
@@ -762,9 +730,9 @@ mod tests {
             vec![TagEvent::retract(users[1], clustered.site().items().nth(1).unwrap(), "museum")],
         ];
         for events in &batches {
-            let report = clustered.apply(events);
+            let report = clustered.try_apply_with(&Exec::auto(), events).unwrap();
             assert!(!report.is_noop());
-            exact.apply(events);
+            exact.try_apply_with(&Exec::auto(), events).unwrap();
 
             // Both engines now answer like engines rebuilt from the
             // current site state.

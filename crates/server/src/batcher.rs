@@ -187,20 +187,22 @@ impl Batcher {
                 // lint: allow(clock_confined, reason = "window-ripeness decision: the batcher compares queue age against the flush window; per-query serving budgets still go through content's strided Deadline clock")
                 let now = Instant::now();
                 // The ripest queue: lowest due time (oldest + window),
-                // with size-capped queues due immediately.
+                // with size-capped queues due immediately. A due time past
+                // the clock's range never comes: such a queue flushes only
+                // at its size cap or at shutdown, both of which notify.
                 let ripest = state
                     .queues
                     .iter()
-                    .map(|(key, members)| {
+                    .filter_map(|(key, members)| {
                         // lint: allow(no_panic, reason = "true invariant: enqueue pushes >= 1 member and next_batch removes whole entries, so a mapped queue is never empty")
                         let oldest =
                             members.iter().map(|m| m.enqueued).min().expect("queues are non-empty");
                         let due = if members.len() >= self.max_batch || state.shutdown {
                             now
                         } else {
-                            oldest + self.window
+                            oldest.checked_add(self.window)?
                         };
-                        (due, key.clone())
+                        Some((due, key.clone()))
                     })
                     .min_by(|(a, _), (b, _)| a.cmp(b));
                 match ripest {
@@ -303,6 +305,29 @@ mod tests {
         let batch = batcher.next_batch().expect("cap-triggered flush");
         assert_eq!(batch.members.len(), 2);
         assert!(start.elapsed() < Duration::from_secs(60), "did not wait for the hour window");
+    }
+
+    /// A window too long to add to any instant never ripens a queue by
+    /// time, and must not stop a full batch of another key from flushing.
+    #[test]
+    fn an_unrepresentable_window_still_flushes_full_batches() {
+        let batcher = Batcher::new(Duration::MAX, 2);
+        let (tx, _rx) = mpsc::channel();
+        batcher.enqueue(Pending {
+            request: request(1, &["a"], 3),
+            enqueued: Instant::now(),
+            reply: tx.clone(),
+        });
+        for seeker in 2..4 {
+            batcher.enqueue(Pending {
+                request: request(seeker, &["b"], 3),
+                enqueued: Instant::now(),
+                reply: tx.clone(),
+            });
+        }
+        let batch = batcher.next_batch().expect("the full key-b batch flushes");
+        assert_eq!(batch.key, BatchKey::resolve(&request(2, &["b"], 3)));
+        assert_eq!(batch.members.len(), 2);
     }
 
     #[test]

@@ -427,7 +427,11 @@ fn serve_query(shared: &Arc<Shared>, body: &[u8]) -> (u16, String) {
     // longer than any serving path could take (window + SLO + engine
     // teardown). A missing answer means the worker died or shutdown
     // refused the enqueue: a typed 500 either way.
-    let grace = shared.config.slo + shared.config.window + Duration::from_secs(30);
+    let grace = shared
+        .config
+        .slo
+        .saturating_add(shared.config.window)
+        .saturating_add(Duration::from_secs(30));
     match answer.recv_timeout(grace) {
         Ok(ServeOutcome::Answer(response)) => (200, response.to_json()),
         Ok(ServeOutcome::Failed) | Err(_) => {

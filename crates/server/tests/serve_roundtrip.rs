@@ -164,6 +164,23 @@ fn a_blown_slo_degrades_in_band_as_http_200() {
 }
 
 #[test]
+fn an_unbounded_slo_answers_undegraded() {
+    // An SLO too long to add to any instant must serve like no budget at
+    // all, not panic the worker or the connection thread.
+    let config = ServerConfig { slo: Duration::MAX, window: Duration::ZERO, ..Default::default() };
+    let fixture = boot(config);
+    let keywords = vec!["baseball".to_string()];
+    let seeker = fixture.users[0];
+    let query = QueryRequest::new(seeker, keywords.clone(), 3);
+    let (status, body) = post(fixture.server.addr(), "/query", &query.to_json());
+    assert_eq!(status, 200, "query failed: {body}");
+    let response = QueryResponse::from_json(&body).unwrap();
+    assert!(!response.degraded, "an unbounded budget never degrades");
+    let served: Vec<(NodeId, f64)> = response.results.iter().map(|r| (r.item, r.score)).collect();
+    assert_eq!(served, shadow_ranking(&fixture, seeker, &keywords, 3));
+}
+
+#[test]
 fn health_and_stats_expose_the_serving_state() {
     let fixture = boot(ServerConfig::default());
     let addr = fixture.server.addr();

@@ -5,8 +5,8 @@
 //! stream against an already-materialized [`SiteModel`]: Zipf-skewed
 //! assignments (the same popularity skew as [`crate::generator`]) mixed
 //! with retractions of assignments the site already holds, so replaying
-//! the stream through `SiteModel::apply` + `*Index::apply` exercises both
-//! growth and shrinkage of posting lists.
+//! the stream through `SiteModel::try_apply` + `*Index::try_apply_with`
+//! exercises both growth and shrinkage of posting lists.
 
 use crate::generator::ZipfSampler;
 use crate::travel::ACTIVITY_TAGS;
@@ -126,7 +126,7 @@ mod tests {
                     "retract of a missing assignment: {event:?}"
                 );
             }
-            live.apply(std::slice::from_ref(event));
+            live.try_apply(std::slice::from_ref(event)).unwrap();
         }
     }
 

@@ -94,9 +94,13 @@ fn prelude_exposes_batched_query_serving() {
     let model = SiteModel::from_graph(&graph);
     let index = ExactIndex::build(&model);
     let batch = vec![john, john, NodeId(4242)];
-    let mut scratch: BatchScratch = BatchScratch::default();
-    let results =
-        index.query_batch_opts(&batch, &keywords, 2, BatchOptions::new().scratch(&mut scratch));
+    let mut pool: BatchScratchPool = BatchScratchPool::default();
+    let results = index.query_batch_opts(
+        &batch,
+        &keywords,
+        2,
+        BatchOptions::new().exec(&Exec::sequential()).scratch_pool(&mut pool),
+    );
     assert_eq!(results.len(), batch.len());
     for (res, &u) in results.iter().zip(&batch) {
         assert_eq!(res, &index.query(u, &keywords, 2));
@@ -121,8 +125,9 @@ fn prelude_exposes_live_index_maintenance() {
     let mut index = ExactIndex::builder(&model).build();
     let friend = model.network_of(john)[0];
     let events = vec![TagEvent::retract(friend, coors, "baseball")];
-    model.apply(&events);
-    let report: ApplyReport = index.apply(&model, &events);
+    model.try_apply(&events).expect("site apply");
+    let report: ApplyReport =
+        index.try_apply_with(&Exec::auto(), &model, &events).expect("index apply");
     assert!(!report.is_noop());
     assert_eq!(index.stats(), ExactIndex::builder(&model).build().stats());
     assert!(index.query(john, &keywords, 1).ranked.is_empty());
@@ -131,7 +136,7 @@ fn prelude_exposes_live_index_maintenance() {
     // lockstep.
     let mut search = NetworkAwareSearch::build(&graph);
     let assign = vec![TagEvent::assign(friend, coors, "rockies")];
-    search.apply(&assign);
+    search.try_apply_with(&Exec::auto(), &assign).expect("engine apply");
     assert_eq!(search.recommend(john, &["rockies".to_string()], 1)[0].item, coors);
 
     // Workload layer: deterministic synthetic event streams for the
